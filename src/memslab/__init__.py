@@ -57,7 +57,6 @@ from .sampling import (
     ginibre_state,
     perturb_about,
     pure_mixture_state,
-    sample_batch,
     sample_states,
 )
 from .states import (

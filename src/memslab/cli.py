@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import argparse
 import sys
+from itertools import chain
+from typing import Iterator
 
 from . import filtering, frontier, sampling, states
 from .measures import MeasureReport, measure_report
@@ -97,10 +99,25 @@ def _ensemble_specs(args) -> list[sampling.EnsembleSpec]:
             specs.append(sampling.EnsembleSpec(
                 sampling.PerturbAbout(states.mems(gamma), args.eps),
                 count,
-                (args.seed ^ sampling.splitmix64(1 + i)) & ((1 << 64) - 1),
+                args.seed ^ sampling.splitmix64(1 + i),
             ))
         return specs
     raise states.OutOfRange(f"unknown ensemble {name!r}")
+
+
+def _ensemble_states(args) -> Iterator[states.DensityMatrix]:
+    """The --count states of --ensemble, drawn from --seed.
+
+    The flags are checked here, before any state is drawn, for every ensemble.
+    """
+    if args.count < 1:
+        raise states.OutOfRange(f"--count {args.count} must be at least 1")
+    if not 0 <= args.seed < 1 << 64:
+        raise states.OutOfRange(f"--seed {args.seed} outside [0, 2^64)")
+    if args.ensemble == "mems":
+        # deterministic envelope members at interior gamma grid points
+        return (states.mems((i + 1) / (args.count + 1)) for i in range(args.count))
+    return chain.from_iterable(sampling.sample_states(spec) for spec in _ensemble_specs(args))
 
 
 def _envelope_path(out: str) -> str:
@@ -110,53 +127,29 @@ def _envelope_path(out: str) -> str:
     return f"{stem}_envelope.{ext}"
 
 
+def _streamed_points(path: str, points: Iterator[frontier.ScanPoint]) -> Iterator[frontier.ScanPoint]:
+    """Pass scan points through, writing their tangle,mixedness rows to ``path``.
+
+    The file is created when the first point is requested.
+    """
+    with open(path, "w", encoding="ascii", newline="\n") as handle:
+        handle.write("tangle,mixedness\n")
+        for point in points:
+            handle.write(f"{fmt(point[0])},{fmt(point[1])}\n")
+            yield point
+
+
 def cmd_scan(args) -> int:
-    metric = frontier.MixednessMetric.LINEAR if args.metric == "linear" else frontier.MixednessMetric.VON_NEUMANN_NORMALIZED
-    specs = _ensemble_specs(args)
-
-    def chunk_points(chunk):
-        out = []
-        for state in chunk:
-            rep = measure_report(state)
-            mix = rep.linear_entropy if metric is frontier.MixednessMetric.LINEAR else rep.von_neumann / frontier.LN4
-            out.append((rep.tangle, mix, states.digest(state)))
-        return out
-
-    points: list[tuple[float, float, str]] = []
-    for spec in specs:
-        for chunk in sampling.map_chunks(spec, chunk_points):
-            points.extend(chunk)
-
-    _write_csv(args.out, "tangle,mixedness", ((t, m) for t, m, _ in points))
-
-    bins = args.bins
-    merged: dict[int, tuple[float, str]] = {}
-    for tau, mix, wit in points:
-        idx = min(int(min(max(mix, 0.0), 1.0) * bins), bins - 1)
-        prev = merged.get(idx)
-        if prev is None or tau > prev[0]:
-            merged[idx] = (tau, wit)
+    metric = frontier.MixednessMetric(args.metric)
+    points = frontier.scan_points(_ensemble_states(args), metric)
+    envelope = frontier.bin_maxima(_streamed_points(args.out, points), metric, args.bins)
     _write_csv(_envelope_path(args.out), "bin_lo,bin_hi,max_tangle",
-               ((idx / bins, (idx + 1) / bins, merged[idx][0]) for idx in sorted(merged)))
+               ((stat.lo, stat.hi, stat.max_tangle) for stat in envelope.bins))
     return 0
 
 
 def cmd_certify(args) -> int:
-    if args.tolerance <= 0.0:
-        raise states.OutOfRange(f"tolerance {args.tolerance} must be positive")
-    if args.ensemble == "mems":
-        # deterministic envelope members at interior gamma grid points
-        grid = [(i + 1) / (args.count + 1) for i in range(args.count)]
-        report = frontier.certify_states([states.mems(g) for g in grid], args.tolerance)
-    else:
-        total, worst, witness = 0, float("-inf"), None
-        for spec in _ensemble_specs(args):
-            part = frontier.certify(spec, args.tolerance)
-            total += part.samples_total
-            if part.max_violation > worst:
-                worst, witness = part.max_violation, part.violating_state
-        report = frontier.CertificationReport(max_violation=worst, violating_state=witness,
-                                              samples_total=total, tolerance=args.tolerance)
+    report = frontier.certify_states(_ensemble_states(args), args.tolerance)
     print(f"samples={report.samples_total}")
     print(f"max_violation={fmt(report.max_violation)}")
     print(f"verdict={report.verdict}")

@@ -19,13 +19,13 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
 from .linalg import psd_sqrt
 from .measures import linear_entropy_of_mat, tangle_of_mat, von_neumann_entropy
-from .sampling import EnsembleSpec, map_chunks, wishart
+from .sampling import EnsembleSpec, sample_states, wishart
 from .states import DensityMatrix, OutOfRange, digest, make_density, mems_population, werner
 
 LN4 = math.log(4.0)
@@ -148,49 +148,55 @@ def _clip01(x: float) -> float:
     return 0.0 if x < 0.0 else (1.0 if x > 1.0 else x)
 
 
-def scan(spec: EnsembleSpec, metric: MixednessMetric, bins: int) -> FrontierEnvelope:
-    """Per-bin tangle maxima over the ensemble; deterministic given spec."""
+ScanPoint = tuple[float, float, DensityMatrix]  # (tangle, mixedness, state); mixedness not clipped
+
+
+def scan_points(states: Iterable[DensityMatrix], metric: MixednessMetric) -> Iterator[ScanPoint]:
+    """The scan point of each state, in order."""
+    for state in states:
+        yield tangle_of_mat(state.mat), _metric_value(metric, state.mat), state
+
+
+def bin_maxima(points: Iterable[ScanPoint], metric: MixednessMetric, bins: int) -> FrontierEnvelope:
+    """Per-bin tangle maxima of scan points.
+
+    ``bins`` is checked before the first point is read.  A bin's witness is
+    the first point to reach its maximum; no other state is kept.
+    """
     if bins < 10:
         raise OutOfRange(f"need at least 10 bins, got {bins}")
-
-    def chunk_stats(states):
-        # partial reduce: bin index -> (max tangle, witness digest, count)
-        partial: dict[int, tuple[float, str, int]] = {}
-        for state in states:
-            tau = tangle_of_mat(state.mat)
-            idx = min(int(_clip01(_metric_value(metric, state.mat)) * bins), bins - 1)
-            prev = partial.get(idx)
-            if prev is None:
-                partial[idx] = (tau, digest(state), 1)
-            elif tau > prev[0]:
-                partial[idx] = (tau, digest(state), prev[2] + 1)
-            else:
-                partial[idx] = (prev[0], prev[1], prev[2] + 1)
-        return partial
-
-    merged: dict[int, tuple[float, str, int]] = {}
-    for partial in map_chunks(spec, chunk_stats):
-        for idx, (tau, wit, cnt) in partial.items():
-            prev = merged.get(idx)
-            if prev is None:
-                merged[idx] = (tau, wit, cnt)
-            elif tau > prev[0]:
-                merged[idx] = (tau, wit, prev[2] + cnt)
-            else:
-                merged[idx] = (prev[0], prev[1], prev[2] + cnt)
-
+    occupied: dict[int, list] = {}  # bin index -> [max tangle, witness state, count]
+    total = 0
+    for tau, mix, state in points:
+        total += 1
+        idx = min(int(_clip01(mix) * bins), bins - 1)
+        slot = occupied.get(idx)
+        if slot is None:
+            occupied[idx] = [tau, state, 1]
+            continue
+        slot[2] += 1
+        if tau > slot[0]:
+            slot[0], slot[1] = tau, state
     stats = tuple(
-        BinStat(lo=idx / bins, hi=(idx + 1) / bins, max_tangle=merged[idx][0],
-                witness_digest=merged[idx][1], count=merged[idx][2])
-        for idx in sorted(merged)
+        BinStat(lo=idx / bins, hi=(idx + 1) / bins, max_tangle=tau,
+                witness_digest=digest(witness), count=count)
+        for idx, (tau, witness, count) in sorted(occupied.items())
     )
-    return FrontierEnvelope(metric=metric, bin_count=bins, bins=stats, samples_total=spec.count)
+    return FrontierEnvelope(metric=metric, bin_count=bins, bins=stats, samples_total=total)
+
+
+def scan(spec: EnsembleSpec, metric: MixednessMetric, bins: int) -> FrontierEnvelope:
+    """Per-bin tangle maxima over the ensemble; deterministic given spec."""
+    return bin_maxima(scan_points(sample_states(spec), metric), metric, bins)
 
 
 def certify_states(states: Iterable[DensityMatrix], tolerance: float) -> CertificationReport:
-    """Envelope-violation search over an explicit collection of states."""
-    if tolerance <= 0.0:
-        raise OutOfRange(f"tolerance {tolerance} must be positive")
+    """Envelope-violation search over a collection of states (linear metric).
+
+    The witness is the first state to reach the largest violation.
+    """
+    if not 0.0 < tolerance < math.inf:
+        raise OutOfRange(f"tolerance {tolerance} must be positive and finite")
     worst = -math.inf
     witness = None
     total = 0
@@ -210,27 +216,7 @@ def certify_states(states: Iterable[DensityMatrix], tolerance: float) -> Certifi
 
 def certify(spec: EnsembleSpec, tolerance: float) -> CertificationReport:
     """Envelope-violation search over a sampled ensemble (linear metric)."""
-    if tolerance <= 0.0:
-        raise OutOfRange(f"tolerance {tolerance} must be positive")
-
-    def chunk_worst(states):
-        worst = -math.inf
-        witness = None
-        for state in states:
-            violation = tangle_of_mat(state.mat) - envelope_tangle(
-                MixednessMetric.LINEAR, _clip01(linear_entropy_of_mat(state.mat))
-            )
-            if violation > worst:
-                worst = violation
-                witness = state
-        return worst, witness
-
-    worst, witness = -math.inf, None
-    for chunk_violation, chunk_witness in map_chunks(spec, chunk_worst):
-        if chunk_violation > worst:
-            worst, witness = chunk_violation, chunk_witness
-    return CertificationReport(max_violation=worst, violating_state=witness,
-                               samples_total=spec.count, tolerance=tolerance)
+    return certify_states(sample_states(spec), tolerance)
 
 
 def hill_climb(

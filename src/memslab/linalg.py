@@ -34,32 +34,6 @@ def as_cmat(entries, dim: int = 4) -> np.ndarray:
     return mat
 
 
-def mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a @ b
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product in the computational-basis ordering |00>,|01>,|10>,|11>."""
-    return np.kron(a, b)
-
-
-def adjoint(a: np.ndarray) -> np.ndarray:
-    return a.conj().T.copy()
-
-
-def conj(a: np.ndarray) -> np.ndarray:
-    return a.conj().copy()
-
-
-def trace(a: np.ndarray) -> complex:
-    return complex(np.trace(a))
-
-
-def frobenius(a: np.ndarray, b: np.ndarray) -> float:
-    """Frobenius distance ||a - b||_F."""
-    return float(np.linalg.norm(a - b))
-
-
 def herm_defect(a: np.ndarray) -> float:
     """Relative departure from Hermiticity, ||a - a^dag||_F / max(1, ||a||_F)."""
     return float(np.linalg.norm(a - a.conj().T) / max(1.0, np.linalg.norm(a)))

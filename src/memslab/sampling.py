@@ -1,26 +1,19 @@
 """Seeded random generation of physical two-qubit states.
 
-Determinism contract: the multiset of sampled states is a pure function of
-(kind, count, seed), independent of how many workers consume the stream.
-Sampling is chunked; chunk ``i`` owns a counter-based Philox generator keyed
-by ``seed XOR splitmix64(i)``, so chunks can be produced in any order (or in
-parallel) and reassembled by index.
-
-Worker count is capped by the MEMS_LAB_THREADS environment variable
-(positive integer); when unset the implementation default of one worker is
-used.
+Determinism contract: the sequence of sampled states is a pure function of
+(kind, count, seed).  The stream is cut into chunks of CHUNK states; chunk
+``i`` owns a counter-based Philox generator keyed by
+``seed XOR splitmix64(i)``, so its states depend only on (kind, seed, i, its
+size) and any chunk can be regenerated on its own with generate_chunk.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, Union
 
 import numpy as np
 
-from .measures import MeasureReport, measure_report
 from .states import DensityMatrix, OutOfRange, make_density
 
 CHUNK = 1024
@@ -158,42 +151,8 @@ def generate_chunk(spec: EnsembleSpec, index: int, size: int) -> list[DensityMat
     return [draw_state(spec.kind, rng) for _ in range(size)]
 
 
-def worker_count() -> int:
-    """Worker cap from MEMS_LAB_THREADS; defaults to 1."""
-    raw = os.environ.get("MEMS_LAB_THREADS")
-    if raw is None:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise OutOfRange(f"MEMS_LAB_THREADS={raw!r} is not a positive integer") from None
-    if n < 1:
-        raise OutOfRange(f"MEMS_LAB_THREADS={raw!r} is not a positive integer")
-    return n
-
-
-def map_chunks(spec: EnsembleSpec, fn, workers: int | None = None) -> list:
-    """Apply ``fn`` to each chunk's state list; results in chunk order.
-
-    With several workers the chunks are processed concurrently; the gather
-    order (and hence any downstream reduce) is unaffected.
-    """
-    sizes = chunk_sizes(spec.count)
-    if workers is None:
-        workers = worker_count()
-    if workers <= 1 or len(sizes) <= 1:
-        return [fn(generate_chunk(spec, i, n)) for i, n in enumerate(sizes)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(lambda i=i, n=n: fn(generate_chunk(spec, i, n))) for i, n in enumerate(sizes)]
-        return [f.result() for f in futures]
-
-
 def sample_states(spec: EnsembleSpec) -> Iterator[DensityMatrix]:
+    """The spec.count states of the ensemble, chunk by chunk in index order."""
     for i, n in enumerate(chunk_sizes(spec.count)):
         yield from generate_chunk(spec, i, n)
 
-
-def sample_batch(spec: EnsembleSpec) -> Iterator[tuple[DensityMatrix, MeasureReport]]:
-    """Stream of (state, report) pairs, exactly spec.count of them."""
-    for state in sample_states(spec):
-        yield state, measure_report(state)

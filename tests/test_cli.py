@@ -1,10 +1,10 @@
-import os
 import subprocess
 import sys
 
 import pytest
 
-from memslab import cli
+from memslab import cli, frontier
+from memslab.sampling import EnsembleSpec, GinibreRank
 from memslab.states import maximally_mixed, write_matrix_file
 
 
@@ -97,8 +97,7 @@ class TestCurve:
 
 
 class TestScan:
-    def test_outputs_and_determinism(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("MEMS_LAB_THREADS", raising=False)
+    def test_outputs_and_determinism(self, tmp_path):
         out1 = tmp_path / "a.csv"
         out2 = tmp_path / "b.csv"
         flags = ["scan", "--ensemble", "ginibre", "--count", "800", "--seed", "7", "--bins", "40"]
@@ -112,17 +111,41 @@ class TestScan:
         assert env_lines[0] == "bin_lo,bin_hi,max_tangle"
         assert len(env_lines) > 1
 
-    def test_thread_count_invariance(self, tmp_path, monkeypatch):
+    def test_perturb_mems_determinism(self, tmp_path):
         flags = ["scan", "--ensemble", "perturb-mems", "--count", "600", "--seed", "3",
                  "--bins", "50"]
-        monkeypatch.setenv("MEMS_LAB_THREADS", "1")
         out1 = tmp_path / "t1.csv"
         assert run_cli(*flags, "--out", str(out1)) == 0
-        monkeypatch.setenv("MEMS_LAB_THREADS", "4")
-        out4 = tmp_path / "t4.csv"
-        assert run_cli(*flags, "--out", str(out4)) == 0
-        assert out1.read_bytes() == out4.read_bytes()
-        assert (tmp_path / "t1_envelope.csv").read_bytes() == (tmp_path / "t4_envelope.csv").read_bytes()
+        out2 = tmp_path / "t2.csv"
+        assert run_cli(*flags, "--out", str(out2)) == 0
+        assert out1.read_bytes() == out2.read_bytes()
+        assert (tmp_path / "t1_envelope.csv").read_bytes() == (tmp_path / "t2_envelope.csv").read_bytes()
+
+    def test_envelope_matches_library_scan(self, tmp_path):
+        out = tmp_path / "lib.csv"
+        assert run_cli("scan", "--ensemble", "ginibre-rank3", "--count", "700", "--seed", "9",
+                       "--bins", "25", "--out", str(out)) == 0
+        env = frontier.scan(EnsembleSpec(GinibreRank(3), 700, seed=9), frontier.MixednessMetric.LINEAR, 25)
+        rows = [",".join(cli.fmt(v) for v in (b.lo, b.hi, b.max_tangle)) for b in env.bins]
+        assert (tmp_path / "lib_envelope.csv").read_text().splitlines() == ["bin_lo,bin_hi,max_tangle", *rows]
+
+    def test_no_per_state_report_or_digest(self, tmp_path, monkeypatch):
+        def refuse(state):
+            raise AssertionError("scan measured a full report")
+
+        digests = []
+        monkeypatch.setattr(cli, "measure_report", refuse)
+        monkeypatch.setattr(frontier, "digest", lambda state: digests.append(state) or "")
+        assert run_cli("scan", "--count", "400", "--seed", "2", "--bins", "10",
+                       "--out", str(tmp_path / "d.csv")) == 0
+        assert 0 < len(digests) <= 10  # one witness digest per occupied bin
+
+    @pytest.mark.parametrize("bins", ["0", "-3", "5"])
+    def test_bad_bins_write_nothing(self, tmp_path, bins):
+        out = tmp_path / "bins.csv"
+        assert run_cli("scan", "--count", "20", "--bins", bins, "--out", str(out)) == 2
+        assert not out.exists()
+        assert not (tmp_path / "bins_envelope.csv").exists()
 
     def test_vn_metric(self, tmp_path):
         out = tmp_path / "vn.csv"
@@ -157,12 +180,38 @@ class TestCertify:
     def test_negative_tolerance(self):
         assert run_cli("certify", "--count", "10", "--tolerance", "-1") == 2
 
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "0", "-1"])
+    def test_bad_tolerance_prints_nothing(self, capsys, tolerance):
+        assert run_cli("certify", "--count", "10", "--tolerance", tolerance) == 2
+        assert capsys.readouterr().out == ""
+
     def test_fail_exit_code(self, capsys, monkeypatch):
         # force a verdict flip to exercise the exit-code contract
-        monkeypatch.setattr(cli.frontier, "certify", lambda spec, tolerance:
-                            cli.frontier.CertificationReport(1.0, None, spec.count, tolerance))
+        monkeypatch.setattr(cli.frontier, "certify_states", lambda states, tolerance:
+                            cli.frontier.CertificationReport(1.0, None, 10, tolerance))
         assert run_cli("certify", "--count", "10") == 3
         assert parse_kv(capsys.readouterr().out)["verdict"] == "FAIL"
+
+
+class TestEnsembleFlags:
+    ENSEMBLES = ("ginibre", "ginibre-rank1", "ginibre-rank2", "ginibre-rank3", "ginibre-rank4",
+                 "pure-mixture", "perturb-mems")
+    BAD_BUDGETS = [("--count", "0"), ("--count", "-5"),
+                   ("--count", "10", "--seed", "-1"), ("--count", "10", "--seed", str(2**64))]
+
+    @pytest.mark.parametrize("ensemble", ENSEMBLES + ("mems",))
+    @pytest.mark.parametrize("budget", BAD_BUDGETS)
+    def test_certify_rejects(self, capsys, ensemble, budget):
+        assert run_cli("certify", "--ensemble", ensemble, *budget) == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("ensemble", ENSEMBLES)
+    @pytest.mark.parametrize("budget", BAD_BUDGETS)
+    def test_scan_rejects(self, tmp_path, ensemble, budget):
+        out = tmp_path / "e.csv"
+        assert run_cli("scan", "--ensemble", ensemble, *budget, "--out", str(out)) == 2
+        assert not out.exists()
+        assert not (tmp_path / "e_envelope.csv").exists()
 
 
 class TestConcentrate:
@@ -202,11 +251,10 @@ class TestConcentrate:
 class TestProcessLevel:
     def test_module_entry_point(self, tmp_path):
         out = tmp_path / "proc.csv"
-        env = dict(os.environ, MEMS_LAB_THREADS="2")
         result = subprocess.run(
             [sys.executable, "-m", "memslab", "scan", "--count", "300", "--seed", "5",
              "--bins", "30", "--out", str(out)],
-            capture_output=True, text=True, env=env)
+            capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
         assert out.exists()
 

@@ -148,8 +148,9 @@ class TestScan:
             assert 0.0 <= stat.lo < stat.hi <= 1.0
 
     def test_bin_count_validated(self):
-        with pytest.raises(OutOfRange):
-            scan(EnsembleSpec(GinibreFull(), 10, seed=1), LINEAR, bins=5)
+        for bins in (5, 0, -3):
+            with pytest.raises(OutOfRange):
+                scan(EnsembleSpec(GinibreFull(), 10, seed=1), LINEAR, bins=bins)
 
     def test_deterministic(self):
         spec = EnsembleSpec(GinibreRank(3), 2000, seed=123)
@@ -179,10 +180,11 @@ class TestCertify:
         assert report.max_violation < -0.1  # far below the envelope
 
     def test_tolerance_validated(self):
-        with pytest.raises(OutOfRange):
-            certify(EnsembleSpec(GinibreFull(), 1, seed=0), tolerance=0.0)
-        with pytest.raises(OutOfRange):
-            certify_states([mems(0.1)], tolerance=-1.0)
+        for tolerance in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(OutOfRange):
+                certify(EnsembleSpec(GinibreFull(), 1, seed=0), tolerance=tolerance)
+            with pytest.raises(OutOfRange):
+                certify_states([mems(0.1)], tolerance=tolerance)
 
     def test_verdict_logic(self):
         fail = CertificationReport(max_violation=1e-3, violating_state=None,

@@ -59,6 +59,13 @@ def pt_oracle(mat):
 
 
 class TestSpinFlip:
+    def test_spin_flip_mat_antidiagonal(self):
+        # hand expansion of sigma_y (x) sigma_y: anti-diagonal (-1, +1, +1, -1), an involution
+        expected = np.zeros((4, 4))
+        expected[0, 3], expected[1, 2], expected[2, 1], expected[3, 0] = -1, 1, 1, -1
+        assert np.array_equal(SPIN_FLIP_MAT, expected)
+        assert np.array_equal(SPIN_FLIP_MAT @ SPIN_FLIP_MAT, np.eye(4))
+
     def test_bell_invariant(self):
         state = bell(BellKind.PHI_PLUS)
         assert np.allclose(spin_flip(state), state.mat, atol=1e-15)

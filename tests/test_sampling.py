@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from memslab.measures import linear_entropy, purity, tangle
+from memslab.measures import linear_entropy, measure_report, purity, tangle
 from memslab.sampling import (
     CHUNK,
     EnsembleSpec,
@@ -10,14 +10,13 @@ from memslab.sampling import (
     PerturbAbout,
     PureMixture,
     chunk_generator,
+    chunk_sizes,
+    generate_chunk,
     ginibre_state,
-    map_chunks,
     perturb_about,
     pure_mixture_state,
-    sample_batch,
     sample_states,
     splitmix64,
-    worker_count,
 )
 from memslab.states import OutOfRange, make_density, mems
 
@@ -146,46 +145,27 @@ class TestSampleBatch:
         spec = EnsembleSpec(GinibreRank(2), 300, seed=8)
         assert _fingerprint(spec) == _fingerprint(spec)
 
-    def test_identical_across_worker_counts(self, monkeypatch):
+    def test_stream_matches_generate_chunk(self):
         spec = EnsembleSpec(GinibreFull(), 2 * CHUNK + 50, seed=13)
-
-        def per_chunk(states):
-            return [(purity(s), tangle(s)) for s in states]
-
-        monkeypatch.setenv("MEMS_LAB_THREADS", "1")
-        one = map_chunks(spec, per_chunk)
-        monkeypatch.setenv("MEMS_LAB_THREADS", "4")
-        four = map_chunks(spec, per_chunk)
-        assert one == four
-        # and the lazy stream agrees with the chunked map
-        flattened = [pair for chunk in one for pair in chunk]
+        chunks = [[(purity(s), tangle(s)) for s in generate_chunk(spec, i, n)]
+                  for i, n in enumerate(chunk_sizes(spec.count))]
+        assert [len(chunk) for chunk in chunks] == [CHUNK, CHUNK, 50]
+        # chunk by chunk the stream is the concatenation of the per-chunk draws
+        flattened = [pair for chunk in chunks for pair in chunk]
         assert flattened == _fingerprint(spec)
+        assert _fingerprint(spec) == _fingerprint(spec)
 
     def test_all_samples_validated(self):
         spec = EnsembleSpec(PureMixture(4), 200, seed=2)
-        for state, report in sample_batch(spec):
+        for state in sample_states(spec):
             make_density(state.mat)
+            report = measure_report(state)
             assert 0.0 <= report.tangle <= 1.0
             assert -1e-12 <= report.linear_entropy <= 1.0 + 1e-12
 
     def test_cloud_bounded(self):
         spec = EnsembleSpec(GinibreFull(), 3000, seed=77)
-        for _, report in sample_batch(spec):
+        for state in sample_states(spec):
+            report = measure_report(state)
             assert report.tangle <= 1.0 + 1e-12
             assert report.linear_entropy <= 1.0 + 1e-12
-
-
-class TestWorkerCount:
-    def test_default(self, monkeypatch):
-        monkeypatch.delenv("MEMS_LAB_THREADS", raising=False)
-        assert worker_count() == 1
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("MEMS_LAB_THREADS", "6")
-        assert worker_count() == 6
-
-    @pytest.mark.parametrize("bad", ["0", "-2", "lots"])
-    def test_invalid(self, monkeypatch, bad):
-        monkeypatch.setenv("MEMS_LAB_THREADS", bad)
-        with pytest.raises(OutOfRange):
-            worker_count()
