@@ -130,37 +130,32 @@ def best_filter(start: DensityMatrix, grid_resolution: int) -> tuple[LocalFilter
     """Exhaustive search over the (a0, a1, b0, b1) grid {1/g, ..., 1}^4.
 
     Maximizes the filtered tangle; exact ties fall back to higher success
-    probability, then to the lexicographically first grid point.  The grid is
-    evaluated in vectorized blocks and reduced sequentially, so the winner is
-    deterministic.
+    probability, then to the lexicographically first grid point, so the
+    winner is deterministic.  Success probabilities come from one pass over
+    the grid, tangles from blocks of at most 4096 filtered states.
     """
     if grid_resolution < 2:
         raise OutOfRange(f"grid resolution {grid_resolution} must be >= 2")
     g = grid_resolution
     values = np.arange(1, g + 1) / g
     grids = np.stack(np.meshgrid(values, values, values, values, indexing="ij"), axis=-1).reshape(-1, 4)
-    diag_pop = start.mat.real.diagonal()
-
-    best = None  # (tangle, success, -flat_index) ordering via explicit compare
-    block = 4096
-    for lo in range(0, grids.shape[0], block):
-        quad = grids[lo:lo + block]
-        d = np.stack([quad[:, 0] * quad[:, 2], quad[:, 0] * quad[:, 3],
-                      quad[:, 1] * quad[:, 2], quad[:, 1] * quad[:, 3]], axis=1)
-        p = (d * d) @ diag_pop
-        keep = p > SUCCESS_FLOOR
-        if not keep.any():
-            continue
-        mats = (d[keep, :, None] * start.mat[None, :, :]) * d[keep, None, :]
-        mats /= p[keep, None, None]
-        taus = tangle_batch(mats)
-        for local_idx, flat in enumerate(np.flatnonzero(keep)):
-            tau = float(taus[local_idx])
-            prob = float(p[flat])
-            if best is None or tau > best[0] or (tau == best[0] and prob > best[1]):
-                best = (tau, prob, lo + int(flat))
-    if best is None:
+    d = np.stack([grids[:, 0] * grids[:, 2], grids[:, 0] * grids[:, 3],
+                  grids[:, 1] * grids[:, 2], grids[:, 1] * grids[:, 3]], axis=1)
+    p = (d * d) @ start.mat.real.diagonal()
+    kept = np.flatnonzero(p > SUCCESS_FLOOR)
+    if kept.size == 0:
         raise VanishingSuccess("every grid filter has vanishing success probability")
-    a0, a1, b0, b1 = grids[best[2]]
+
+    block = 4096
+    taus = np.empty(kept.size)
+    for lo in range(0, kept.size, block):
+        idx = kept[lo:lo + block]
+        mats = (d[idx, :, None] * start.mat) * d[idx, None, :]
+        mats /= p[idx, None, None]
+        taus[lo:lo + block] = tangle_batch(mats)
+    # lexicographic argmax: largest tangle, then largest success, then lowest index
+    top = kept[taus == taus.max()]
+    top = top[p[top] == p[top].max()]
+    a0, a1, b0, b1 = grids[top[0]]
     winner = LocalFilter(float(a0), float(a1), float(b0), float(b1))
     return winner, apply_filter(start, winner)

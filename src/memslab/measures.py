@@ -22,6 +22,7 @@ from .states import DensityMatrix
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 # sigma_y (x) sigma_y: the anti-diagonal (-1, +1, +1, -1), real.
 SPIN_FLIP_MAT = np.kron(_SIGMA_Y, _SIGMA_Y).real.astype(np.float64)
+_SPIN_FLIP_COMPLEX = SPIN_FLIP_MAT.astype(np.complex128)
 
 
 @dataclass(frozen=True)
@@ -58,14 +59,20 @@ def spin_flip(rho: DensityMatrix) -> np.ndarray:
     return SPIN_FLIP_MAT @ rho.mat.conj() @ SPIN_FLIP_MAT
 
 
-def _lambdas(mat: np.ndarray) -> np.ndarray:
+def _lambdas(mats: np.ndarray) -> np.ndarray:
+    """Spin-flip singular values, descending, for each matrix of a (..., 4, 4) stack."""
     # The lambdas are the square roots of the eigenvalues of the Hermitian
     # product sqrt(rho) rhotilde sqrt(rho) = A A^dag with
     # A = sqrt(rho) S conj(sqrt(rho)); taking singular values of A avoids the
     # sqrt blow-up of eigenvalue rounding noise on boundary-rank states.
-    root = psd_sqrt(mat)
-    flip_factor = root @ SPIN_FLIP_MAT @ root.conj()
-    return np.linalg.svd(flip_factor, compute_uv=False)
+    root = psd_sqrt(mats)
+    return np.linalg.svd(root @ _SPIN_FLIP_COMPLEX @ root.conj(), compute_uv=False)
+
+
+def _concurrences(mats: np.ndarray) -> np.ndarray:
+    """C = max(0, lambda_1 - lambda_2 - lambda_3 - lambda_4) for each matrix of a stack."""
+    # subtract.reduce subtracts in index order, ((l1 - l2) - l3) - l4
+    return np.maximum(np.subtract.reduce(_lambdas(mats), axis=-1), 0.0)
 
 
 def wootters_lambdas(rho: DensityMatrix) -> WoottersSpectrum:
@@ -76,14 +83,12 @@ def wootters_lambdas(rho: DensityMatrix) -> WoottersSpectrum:
 
 
 def concurrence(rho: DensityMatrix) -> float:
-    lam = _lambdas(rho.mat)
-    return max(float(lam[0] - lam[1] - lam[2] - lam[3]), 0.0)
+    return float(_concurrences(rho.mat))
 
 
 def tangle(rho: DensityMatrix) -> float:
     """Concurrence squared; 1 for maximally entangled, 0 for separable."""
-    c = concurrence(rho)
-    return c * c
+    return tangle_of_mat(rho.mat)
 
 
 def binary_entropy(x: float) -> float:
@@ -108,7 +113,7 @@ def purity(rho: DensityMatrix) -> float:
 
 
 def linear_entropy(rho: DensityMatrix) -> float:
-    return (4.0 / 3.0) * (1.0 - purity(rho))
+    return linear_entropy_of_mat(rho.mat)
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
@@ -142,7 +147,7 @@ def measure_report(rho: DensityMatrix) -> MeasureReport:
     c = concurrence(rho)
     return MeasureReport(
         purity=pur,
-        linear_entropy=(4.0 / 3.0) * (1.0 - pur),
+        linear_entropy=linear_entropy_of_mat(rho.mat),
         von_neumann=von_neumann_entropy(rho),
         concurrence=c,
         tangle=c * c,
@@ -153,9 +158,7 @@ def measure_report(rho: DensityMatrix) -> MeasureReport:
 
 def tangle_of_mat(mat: np.ndarray) -> float:
     """Tangle of a raw (already validated) matrix; hot-loop entry point."""
-    lam = _lambdas(mat)
-    c = max(float(lam[0] - lam[1] - lam[2] - lam[3]), 0.0)
-    return c * c
+    return float(tangle_batch(mat))
 
 
 def linear_entropy_of_mat(mat: np.ndarray) -> float:
@@ -163,18 +166,9 @@ def linear_entropy_of_mat(mat: np.ndarray) -> float:
 
 
 def tangle_batch(mats: np.ndarray) -> np.ndarray:
-    """Vectorized tangle over a stack of density matrices of shape (..., 4, 4).
+    """Tangle of each matrix of a (..., 4, 4) stack, bit for bit tangle() on each slice.
 
-    Matches tangle() on each slice; used by exhaustive grid searches.
+    Raises NotHermitian or NotPSD if any matrix of the stack is not a state.
     """
-    w, v = np.linalg.eigh(mats)
-    np.clip(w, 0.0, None, out=w)
-    roots = np.sqrt(w)
-    vh = np.conj(np.swapaxes(v, -1, -2))
-    root = (v * roots[..., None, :]) @ vh
-    root = 0.5 * (root + np.conj(np.swapaxes(root, -1, -2)))
-    flip_factor = root @ SPIN_FLIP_MAT.astype(np.complex128) @ np.conj(root)
-    lam = np.linalg.svd(flip_factor, compute_uv=False)
-    c = lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3]
-    np.clip(c, 0.0, None, out=c)
+    c = _concurrences(mats)
     return c * c

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from memslab.sampling import chunk_generator, ginibre_state
+from memslab.sampling import ginibre_state
 
 
 def rng_from(seed: int) -> np.random.Generator:

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,7 @@ from memslab.filtering import (
     trajectory,
     two_sided_filter,
 )
-from memslab.measures import linear_entropy, tangle
+from memslab.measures import linear_entropy, tangle, tangle_batch
 from memslab.states import (
     BellKind,
     OutOfRange,
@@ -25,6 +27,7 @@ from memslab.states import (
     maximally_mixed,
     mems,
     pure_from_vector,
+    werner,
 )
 
 filter_entries = st.floats(min_value=0.05, max_value=1.0)
@@ -215,3 +218,39 @@ class TestBestFilter:
     def test_outcome_type(self):
         _, outcome = best_filter(mems(0.5), grid_resolution=3)
         assert isinstance(outcome, FilterOutcome)
+
+
+def sequential_best_filter(start, g):
+    """Reference reduce: one grid point at a time, keeping the first strict improvement.
+
+    Points are visited in lexicographic (a0, a1, b0, b1) order; a point wins
+    on larger tangle, or on equal tangle and larger success probability.
+    """
+    values = np.arange(1, g + 1) / g
+    points = list(itertools.product(values, repeat=4))
+    d = np.array([LocalFilter(*q).diagonal() for q in points])
+    probs = (d * d) @ start.mat.real.diagonal()
+    taus = tangle_batch(d[:, :, None] * start.mat * d[:, None, :] / probs[:, None, None])
+    best = None
+    for q, tau, prob in zip(points, taus, probs):
+        if best is None or tau > best[1] or (tau == best[1] and prob > best[2]):
+            best = (q, tau, prob)
+    return LocalFilter(*best[0])
+
+
+REDUCE_STARTS = ([mems(gamma) for gamma in (0.2, 0.5, 0.8)]
+                 + [werner(gamma) for gamma in (0.3, 0.7)]
+                 + [random_state(seed, rank) for seed, rank in ((1, 1), (2, 2), (3, 4))]
+                 + [maximally_mixed()])  # all-tie case: every grid tangle is 0
+
+
+@pytest.mark.parametrize("g", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("start", range(len(REDUCE_STARTS)))
+def test_best_filter_matches_sequential_reduce(start, g):
+    state = REDUCE_STARTS[start]
+    winner, outcome = best_filter(state, g)
+    expected = sequential_best_filter(state, g)
+    assert winner == expected
+    reference = apply_filter(state, expected)
+    assert np.array_equal(outcome.state.mat, reference.state.mat)
+    assert outcome.success_prob == reference.success_prob

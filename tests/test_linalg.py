@@ -137,3 +137,52 @@ def test_psd_sqrt_rejects_non_hermitian():
     bad[0, 1] = 1.0
     with pytest.raises(NotHermitian):
         psd_sqrt(bad)
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_stacked_kernels_match_per_matrix(n):
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((3, 5, n, n)) + 1j * rng.standard_normal((3, 5, n, n))
+    stack = a @ a.conj().swapaxes(-1, -2)
+    stack[0, 0] = np.diag(np.arange(n, dtype=float))  # exact zero eigenvalue
+    dec, roots = hermitian_eig(stack), psd_sqrt(stack)
+    for idx in np.ndindex(3, 5):
+        single = hermitian_eig(stack[idx])
+        assert np.array_equal(dec.eigenvalues[idx], single.eigenvalues)
+        assert np.array_equal(dec.eigenvectors[idx], single.eigenvectors)
+        assert np.array_equal(roots[idx], psd_sqrt(stack[idx]))
+
+
+def non_psd():
+    return np.diag([1.0, 1.0, 1.0, -1e-6]).astype(complex)
+
+
+def non_hermitian():
+    bad = np.eye(4, dtype=complex)
+    bad[0, 1] = 1e-6
+    return bad
+
+
+def non_finite():
+    bad = np.eye(4, dtype=complex)
+    bad[3, 3] = np.inf
+    return bad
+
+
+@pytest.mark.parametrize("kernel, bad, error", [
+    (psd_sqrt, non_psd, NotPSD),
+    (psd_sqrt, non_hermitian, NotHermitian),
+    (hermitian_eig, non_hermitian, NotHermitian),
+    (hermitian_eig, non_finite, ValueError),
+])
+def test_stack_with_one_bad_matrix_rejected(kernel, bad, error):
+    stack = np.stack([I4 / 4] * 6)
+    stack[4] = bad()
+    with pytest.raises(error):
+        kernel(stack)
+
+
+@pytest.mark.parametrize("shape", [(4,), (3, 3), (2, 4, 4, 2), (4, 2)])
+def test_kernel_rejects_non_square_stacks(shape):
+    with pytest.raises(ValueError):
+        hermitian_eig(np.zeros(shape, dtype=complex))

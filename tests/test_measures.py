@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_local_unitary, random_state
+from memslab.linalg import NotHermitian, NotPSD
 from memslab.measures import (
     SPIN_FLIP_MAT,
     MeasureReport,
@@ -277,11 +278,34 @@ class TestConcurrenceNegativityAgreement:
         assert disagreements == 0
 
 
+def kernel_states():
+    """Ginibre states of every rank plus mems, werner and Bell family members."""
+    mats = [random_state(seed, rank).mat for rank in (1, 2, 3, 4) for seed in range(16)]
+    for gamma in np.linspace(0, 1, 11):
+        mats += [mems(gamma).mat, werner(gamma).mat]
+    mats += [bell(kind).mat for kind in BellKind]
+    return np.stack(mats)
+
+
 def test_tangle_batch_matches_scalar():
-    mats = np.stack([random_state(s).mat for s in range(64)])
-    batched = tangle_batch(mats)
+    mats = kernel_states()
     scalar = np.array([tangle_of_mat(m) for m in mats])
-    assert np.allclose(batched, scalar, atol=1e-12)
+    assert np.array_equal(tangle_batch(mats), scalar)
+    assert np.array_equal(tangle_batch(mats.reshape(-1, 2, 4, 4)), scalar.reshape(-1, 2))
+    # a single unstacked matrix and an empty stack are (..., 4, 4) cases too
+    assert tangle_batch(mats[0]) == scalar[0]
+    assert tangle_batch(mats[:0]).shape == (0,)
+
+
+@pytest.mark.parametrize("bad, error", [
+    (np.diag([0.5, 0.5, 0.1, -0.1]).astype(complex), NotPSD),
+    (np.diag([0.25] * 4).astype(complex) + np.diag([0.1j], 3), NotHermitian),
+])
+def test_tangle_batch_rejects_a_non_state_in_the_stack(bad, error):
+    mats = kernel_states()
+    mats[5] = bad
+    with pytest.raises(error):
+        tangle_batch(mats)
 
 
 def test_report_fields_tuple():
