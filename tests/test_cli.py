@@ -1,8 +1,11 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import memslab
 from memslab import cli, frontier
 from memslab.sampling import EnsembleSpec, GinibreRank
 from memslab.states import maximally_mixed, write_matrix_file
@@ -248,18 +251,28 @@ class TestConcentrate:
                        "--out", str(tmp_path / "x.csv")) == 2
 
 
+def module_env() -> dict:
+    """The environment with the directory of the imported memslab first on PYTHONPATH.
+
+    A child ``python -m memslab`` then runs the package under test, also from
+    a checkout without an install.
+    """
+    src = str(Path(memslab.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 class TestProcessLevel:
     def test_module_entry_point(self, tmp_path):
         out = tmp_path / "proc.csv"
         result = subprocess.run(
             [sys.executable, "-m", "memslab", "scan", "--count", "300", "--seed", "5",
              "--bins", "30", "--out", str(out)],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=module_env())
         assert result.returncode == 0, result.stderr
         assert out.exists()
 
     def test_help_exits_zero(self):
         result = subprocess.run([sys.executable, "-m", "memslab", "--help"],
-                                capture_output=True, text=True)
+                                capture_output=True, text=True, env=module_env())
         assert result.returncode == 0
         assert "measure" in result.stdout
