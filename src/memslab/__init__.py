@@ -74,6 +74,7 @@ from .states import (
     mems,
     pure_from_vector,
     read_matrix_file,
+    validate_stack,
     werner,
     write_matrix_file,
 )

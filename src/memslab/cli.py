@@ -13,6 +13,8 @@ import sys
 from itertools import chain
 from typing import Iterator
 
+import numpy as np
+
 from . import filtering, frontier, sampling, states
 from .measures import MeasureReport, measure_report
 
@@ -105,8 +107,8 @@ def _ensemble_specs(args) -> list[sampling.EnsembleSpec]:
     raise states.OutOfRange(f"unknown ensemble {name!r}")
 
 
-def _ensemble_states(args) -> Iterator[states.DensityMatrix]:
-    """The --count states of --ensemble, drawn from --seed.
+def _ensemble_states(args) -> Iterator[np.ndarray]:
+    """The --count states of --ensemble, drawn from --seed, as validated (n, 4, 4) stacks.
 
     The flags are checked here, before any state is drawn, for every ensemble.
     """
@@ -116,7 +118,9 @@ def _ensemble_states(args) -> Iterator[states.DensityMatrix]:
         raise states.OutOfRange(f"--seed {args.seed} outside [0, 2^64)")
     if args.ensemble == "mems":
         # deterministic envelope members at interior gamma grid points
-        return (states.mems((i + 1) / (args.count + 1)) for i in range(args.count))
+        return (np.stack([states.mems((i + 1) / (args.count + 1)).mat
+                          for i in range(start, min(start + sampling.BLOCK, args.count))])
+                for start in range(0, args.count, sampling.BLOCK))
     return chain.from_iterable(sampling.sample_states(spec) for spec in _ensemble_specs(args))
 
 

@@ -24,7 +24,7 @@ from typing import Iterable, Iterator, Optional
 import numpy as np
 
 from .linalg import psd_sqrt
-from .measures import linear_entropy_of_mat, tangle_of_mat, von_neumann_entropy
+from .measures import linear_entropy_of_mat, tangle_batch, tangle_of_mat, von_neumann_entropy
 from .sampling import EnsembleSpec, sample_states, wishart
 from .states import DensityMatrix, OutOfRange, digest, make_density, mems_population, werner
 
@@ -86,14 +86,15 @@ def envelope_tangle(metric: MixednessMetric, s: float) -> float:
         raise UnsupportedMetric("analytic envelope is only available for the linear-entropy metric")
     if not 0.0 <= s <= 1.0:
         raise OutOfRange(f"mixedness {s} outside [0, 1]")
-    if s > S_EDGE:
-        return 0.0
-    if s > S_BRANCH:
-        # S_L = 8/9 - (2/3) gamma^2  =>  tau = gamma^2 = 4/3 - (3/2) S_L
-        return 4.0 / 3.0 - 1.5 * s
+    return float(_envelope(np.float64(s)))
+
+
+def _envelope(s: np.ndarray) -> np.ndarray:
+    """envelope_tangle(LINEAR, s) for each linear entropy s in [0, 1]."""
     # S_L = (8/3) gamma (1 - gamma)  =>  gamma on the upper root
-    gamma = 0.5 * (1.0 + math.sqrt(max(1.0 - 1.5 * s, 0.0)))
-    return gamma * gamma
+    gamma = 0.5 * (1.0 + np.sqrt(np.maximum(1.0 - 1.5 * s, 0.0)))
+    # S_L = 8/9 - (2/3) gamma^2  =>  tau = gamma^2 = 4/3 - (3/2) S_L
+    return np.where(s > S_EDGE, 0.0, np.where(s > S_BRANCH, 4.0 / 3.0 - 1.5 * s, gamma * gamma))
 
 
 @dataclass(frozen=True)
@@ -144,17 +145,22 @@ def _metric_value(metric: MixednessMetric, mat: np.ndarray) -> float:
     return von_neumann_entropy(DensityMatrix(mat)) / LN4
 
 
+def _metric_values(metric: MixednessMetric, mats: np.ndarray) -> np.ndarray:
+    # one state at a time: a stacked purity differs from np.vdot's in the last bits
+    return np.fromiter((_metric_value(metric, mat) for mat in mats), dtype=np.float64, count=len(mats))
+
+
 def _clip01(x: float) -> float:
     return 0.0 if x < 0.0 else (1.0 if x > 1.0 else x)
 
 
-ScanPoint = tuple[float, float, DensityMatrix]  # (tangle, mixedness, state); mixedness not clipped
+ScanPoint = tuple[float, float, np.ndarray]  # (tangle, mixedness, state matrix); mixedness not clipped
 
 
-def scan_points(states: Iterable[DensityMatrix], metric: MixednessMetric) -> Iterator[ScanPoint]:
-    """The scan point of each state, in order."""
-    for state in states:
-        yield tangle_of_mat(state.mat), _metric_value(metric, state.mat), state
+def scan_points(stacks: Iterable[np.ndarray], metric: MixednessMetric) -> Iterator[ScanPoint]:
+    """The scan point of each state of validated (n, 4, 4) stacks, in order."""
+    for mats in stacks:
+        yield from zip(tangle_batch(mats).tolist(), _metric_values(metric, mats).tolist(), mats)
 
 
 def bin_maxima(points: Iterable[ScanPoint], metric: MixednessMetric, bins: int) -> FrontierEnvelope:
@@ -165,18 +171,18 @@ def bin_maxima(points: Iterable[ScanPoint], metric: MixednessMetric, bins: int) 
     """
     if bins < 10:
         raise OutOfRange(f"need at least 10 bins, got {bins}")
-    occupied: dict[int, list] = {}  # bin index -> [max tangle, witness state, count]
+    occupied: dict[int, list] = {}  # bin index -> [max tangle, witness matrix, count]
     total = 0
-    for tau, mix, state in points:
+    for tau, mix, mat in points:
         total += 1
         idx = min(int(_clip01(mix) * bins), bins - 1)
         slot = occupied.get(idx)
         if slot is None:
-            occupied[idx] = [tau, state, 1]
+            occupied[idx] = [tau, mat.copy(), 1]  # a copy: a view would keep its whole stack
             continue
         slot[2] += 1
         if tau > slot[0]:
-            slot[0], slot[1] = tau, state
+            slot[0], slot[1] = tau, mat.copy()
     stats = tuple(
         BinStat(lo=idx / bins, hi=(idx + 1) / bins, max_tangle=tau,
                 witness_digest=digest(witness), count=count)
@@ -190,27 +196,29 @@ def scan(spec: EnsembleSpec, metric: MixednessMetric, bins: int) -> FrontierEnve
     return bin_maxima(scan_points(sample_states(spec), metric), metric, bins)
 
 
-def certify_states(states: Iterable[DensityMatrix], tolerance: float) -> CertificationReport:
-    """Envelope-violation search over a collection of states (linear metric).
+def certify_states(stacks: Iterable[np.ndarray], tolerance: float) -> CertificationReport:
+    """Envelope-violation search over validated (n, 4, 4) stacks of states (linear metric).
 
-    The witness is the first state to reach the largest violation.
+    The witness is the first state to reach the largest violation; it is the
+    only state built as a DensityMatrix.
     """
     if not 0.0 < tolerance < math.inf:
         raise OutOfRange(f"tolerance {tolerance} must be positive and finite")
     worst = -math.inf
     witness = None
     total = 0
-    for state in states:
-        total += 1
-        violation = tangle_of_mat(state.mat) - envelope_tangle(
-            MixednessMetric.LINEAR, _clip01(linear_entropy_of_mat(state.mat))
-        )
-        if violation > worst:
-            worst = violation
-            witness = state
+    for mats in stacks:
+        if not len(mats):
+            continue
+        total += len(mats)
+        mixedness = np.clip(_metric_values(MixednessMetric.LINEAR, mats), 0.0, 1.0)
+        violations = tangle_batch(mats) - _envelope(mixedness)
+        k = int(np.argmax(violations))  # the first index of the stack's maximum
+        if violations[k] > worst:  # strict, so a tie in a later stack keeps the earlier witness
+            worst, witness = float(violations[k]), mats[k]
     if total == 0:
         raise OutOfRange("cannot certify an empty collection of states")
-    return CertificationReport(max_violation=worst, violating_state=witness,
+    return CertificationReport(max_violation=worst, violating_state=make_density(witness),
                                samples_total=total, tolerance=tolerance)
 
 

@@ -2,7 +2,7 @@
 
 All operations are pure functions of their value arguments and are safe to
 call concurrently.  Tolerances live in this module so every consumer agrees
-on what "Hermitian", "PSD" and "reconstructed" mean.
+on what "Hermitian" and "PSD" mean.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import numpy as np
 
 HERM_TOL = 1e-10    # relative Hermiticity tolerance for eigensolver inputs
 PSD_CLAMP = 1e-10   # eigenvalues in [-PSD_CLAMP, 0] count as zero
-RECON_TOL = 1e-12   # eigendecomposition reconstruction / unitarity budget
 
 
 class NotHermitian(ValueError):

@@ -5,6 +5,10 @@ Determinism contract: the sequence of sampled states is a pure function of
 ``i`` owns a counter-based Philox generator keyed by
 ``seed XOR splitmix64(i)``, so its states depend only on (kind, seed, i, its
 size) and any chunk can be regenerated on its own with generate_chunk.
+Within a chunk, blocks of at most BLOCK states are drawn one after another
+from the chunk's one generator, each state's draws in the same order as
+when states are drawn one at a time, so the block size does not change
+which states a seed gives.  Each block is validated as one (n, 4, 4) stack.
 """
 
 from __future__ import annotations
@@ -14,9 +18,10 @@ from typing import Iterator, Union
 
 import numpy as np
 
-from .states import DensityMatrix, OutOfRange, make_density
+from .states import DensityMatrix, OutOfRange, make_density, validate_stack
 
 CHUNK = 1024
+BLOCK = 128  # states drawn, validated and measured together; bounds the temporaries
 
 _MASK64 = (1 << 64) - 1
 
@@ -91,54 +96,79 @@ class EnsembleSpec:
             raise OutOfRange("seed must fit in 64 unsigned bits")
 
 
+def _wishart(normals: np.ndarray) -> np.ndarray:
+    """G G^dag for the complex factor G = normals[..., 0, :, :] + i normals[..., 1, :, :]."""
+    g = normals[..., 0, :, :] + 1j * normals[..., 1, :, :]
+    return g @ g.conj().swapaxes(-1, -2)
+
+
 def wishart(rng: np.random.Generator, rank: int) -> np.ndarray:
     """Unnormalized G G^dag from a 4x(rank) complex Gaussian factor."""
-    g = rng.standard_normal((4, rank)) + 1j * rng.standard_normal((4, rank))
-    return g @ g.conj().T
+    return _wishart(rng.standard_normal((2, 4, rank)))
+
+
+def _unit_trace(wish: np.ndarray) -> np.ndarray:
+    # Tr == 0 needs every Gaussian of the factor to be exactly 0; the non-finite
+    # quotient it would give is rejected by validation, not redrawn
+    return wish / np.trace(wish, axis1=1, axis2=2).real[:, None, None]
+
+
+def _ginibre(rng: np.random.Generator, n: int, rank: int) -> np.ndarray:
+    return _unit_trace(_wishart(rng.standard_normal((n, 2, 4, rank))))
+
+
+def _pure_mixtures(rng: np.random.Generator, n: int, size: int) -> np.ndarray:
+    weights = np.empty((n, size))
+    normals = np.empty((n, size, 2, 4))
+    for i in range(n):  # each state's Dirichlet weights, then its vectors' Gaussians
+        weights[i] = rng.dirichlet(np.ones(size))
+        rng.standard_normal(out=normals[i])
+    psi = normals[:, :, 0] + 1j * normals[:, :, 1]
+    re, im = psi.real[..., None, :], psi.imag[..., None, :]
+    # the dot products np.linalg.norm takes of one vector, so the same bits
+    psi /= np.sqrt(re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0]
+    mats = np.zeros((n, 4, 4), dtype=np.complex128)
+    for k in range(size):
+        mats += weights[:, k, None, None] * (psi[:, k, :, None] * psi[:, k, None, :].conj())
+    return mats
+
+
+def _perturbations(rng: np.random.Generator, n: int, base: DensityMatrix, eps: float) -> np.ndarray:
+    uniforms = np.empty(n)
+    normals = np.empty((n, 2, 4, 4))
+    for i in range(n):  # each state's weight, then its noise state's Gaussians
+        uniforms[i] = rng.random()
+        rng.standard_normal(out=normals[i])
+    w = (eps * (1.0 - uniforms))[:, None, None]  # uniform on (0, eps]
+    noise = validate_stack(_unit_trace(_wishart(normals)))
+    return (1.0 - w) * base.mat + w * noise
+
+
+def _draw(kind: EnsembleKind, rng: np.random.Generator, n: int) -> np.ndarray:
+    """n unvalidated states of ``kind`` from ``rng``, as one (n, 4, 4) stack."""
+    if isinstance(kind, GinibreFull):
+        return _ginibre(rng, n, 4)
+    if isinstance(kind, GinibreRank):
+        return _ginibre(rng, n, kind.rank)
+    if isinstance(kind, PureMixture):
+        return _pure_mixtures(rng, n, kind.size)
+    if isinstance(kind, PerturbAbout):
+        return _perturbations(rng, n, kind.base, kind.eps)
+    raise TypeError(f"unknown ensemble kind {kind!r}")
 
 
 def ginibre_state(rng: np.random.Generator, rank: int = 4) -> DensityMatrix:
     """One Ginibre-induced state of the given rank (rank 4 = Hilbert-Schmidt)."""
-    if rank not in (1, 2, 3, 4):
-        raise OutOfRange(f"ginibre rank {rank} outside 1..4")
-    while True:
-        wish = wishart(rng, rank)
-        tr = float(np.trace(wish).real)
-        if tr > 0.0:  # Tr == 0 is a measure-zero event; resample
-            return make_density(wish / tr)
+    return make_density(_draw(GinibreRank(rank), rng, 1)[0])
 
 
 def pure_mixture_state(rng: np.random.Generator, size: int) -> DensityMatrix:
-    if size not in (1, 2, 3, 4, 5, 6):
-        raise OutOfRange(f"pure mixture size {size} outside 1..6")
-    weights = rng.dirichlet(np.ones(size))
-    mat = np.zeros((4, 4), dtype=np.complex128)
-    for w in weights:
-        psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        psi /= np.linalg.norm(psi)
-        mat += w * np.outer(psi, psi.conj())
-    return make_density(mat)
+    return make_density(_draw(PureMixture(size), rng, 1)[0])
 
 
 def perturb_about(base: DensityMatrix, eps: float, rng: np.random.Generator) -> DensityMatrix:
     """Convex mix of ``base`` with one full-rank Ginibre state; weight in (0, eps]."""
-    if not 0.0 < eps <= 1.0:
-        raise OutOfRange(f"perturbation eps={eps} outside (0, 1]")
-    w = eps * (1.0 - rng.random())  # uniform on (0, eps]
-    noise = ginibre_state(rng, 4)
-    return make_density((1.0 - w) * base.mat + w * noise.mat)
-
-
-def draw_state(kind: EnsembleKind, rng: np.random.Generator) -> DensityMatrix:
-    if isinstance(kind, GinibreFull):
-        return ginibre_state(rng, 4)
-    if isinstance(kind, GinibreRank):
-        return ginibre_state(rng, kind.rank)
-    if isinstance(kind, PureMixture):
-        return pure_mixture_state(rng, kind.size)
-    if isinstance(kind, PerturbAbout):
-        return perturb_about(kind.base, kind.eps, rng)
-    raise TypeError(f"unknown ensemble kind {kind!r}")
+    return make_density(_draw(PerturbAbout(base, eps), rng, 1)[0])
 
 
 def chunk_sizes(count: int) -> list[int]:
@@ -146,13 +176,14 @@ def chunk_sizes(count: int) -> list[int]:
     return [CHUNK] * full + ([rest] if rest else [])
 
 
-def generate_chunk(spec: EnsembleSpec, index: int, size: int) -> list[DensityMatrix]:
+def generate_chunk(spec: EnsembleSpec, index: int, size: int) -> list[np.ndarray]:
+    """Chunk ``index`` of the stream: validated stacks of at most BLOCK states, in order."""
     rng = chunk_generator(spec.seed, index)
-    return [draw_state(spec.kind, rng) for _ in range(size)]
+    return [validate_stack(_draw(spec.kind, rng, min(BLOCK, size - start)))
+            for start in range(0, size, BLOCK)]
 
 
-def sample_states(spec: EnsembleSpec) -> Iterator[DensityMatrix]:
-    """The spec.count states of the ensemble, chunk by chunk in index order."""
+def sample_states(spec: EnsembleSpec) -> Iterator[np.ndarray]:
+    """The spec.count states of the ensemble as validated (n, 4, 4) stacks, in stream order."""
     for i, n in enumerate(chunk_sizes(spec.count)):
         yield from generate_chunk(spec, i, n)
-

@@ -48,23 +48,43 @@ class DensityMatrix:
     mat: np.ndarray
 
 
+def validate_stack(raw) -> np.ndarray:
+    """Validate each matrix of an (n, 4, 4) stack as a physical two-qubit state.
+
+    Applies make_density's checks to every matrix: finite entries, the
+    Hermiticity defect, the trace and the minimum eigenvalue.  The first
+    matrix that fails one raises the error make_density raises for it alone.
+    Returns the stack as a complex128 array; no repair is attempted.
+    """
+    mats = np.asarray(raw, dtype=np.complex128)
+    if mats.ndim != 3 or mats.shape[1:] != (4, 4):
+        raise ValueError(f"expected a stack of 4x4 matrices, got shape {mats.shape}")
+    if not np.isfinite(mats).all():
+        first = int(np.argmin(np.isfinite(mats).all(axis=(1, 2))))
+        validate_stack(mats[:first])  # an earlier matrix may fail another check
+        raise ValueError("matrix has non-finite entries")
+    skew = (mats - mats.conj().swapaxes(1, 2)).view(np.float64)
+    defect = np.sqrt(np.einsum("nij,nij->n", skew, skew))  # Frobenius norm of rho - rho^dag
+    off = np.abs(np.einsum("nii->n", mats) - 1.0)
+    low = np.linalg.eigvalsh(mats)[:, 0]
+    bad = (defect > HERM_TOL) | (off > TRACE_TOL) | (low < -PSD_CLAMP)
+    if bad.any():
+        k = int(np.argmax(bad))
+        if defect[k] > HERM_TOL:
+            raise NotHermitian(f"Hermiticity defect ||rho - rho^dag||_F = {defect[k]:.3e} exceeds {HERM_TOL:.0e}")
+        if off[k] > TRACE_TOL:
+            raise TraceNotOne(f"|Tr rho - 1| = {off[k]:.3e} exceeds {TRACE_TOL:.0e}")
+        raise NotPSD(f"minimum eigenvalue {low[k]:.3e} is below -{PSD_CLAMP:.0e}")
+    return mats
+
+
 def make_density(raw) -> DensityMatrix:
     """Validate ``raw`` as a physical two-qubit density matrix.
 
     Raises NotHermitian / TraceNotOne / NotPSD naming the violated invariant
     together with its magnitude.  No repair is attempted.
     """
-    mat = as_cmat(raw)
-    defect = float(np.linalg.norm(mat - mat.conj().T))
-    if defect > HERM_TOL:
-        raise NotHermitian(f"Hermiticity defect ||rho - rho^dag||_F = {defect:.3e} exceeds {HERM_TOL:.0e}")
-    tr = complex(np.trace(mat))
-    if abs(tr - 1.0) > TRACE_TOL:
-        raise TraceNotOne(f"|Tr rho - 1| = {abs(tr - 1.0):.3e} exceeds {TRACE_TOL:.0e}")
-    low = float(np.linalg.eigvalsh(mat)[0])
-    if low < -PSD_CLAMP:
-        raise NotPSD(f"minimum eigenvalue {low:.3e} is below -{PSD_CLAMP:.0e}")
-    mat = mat.copy()
+    mat = validate_stack(as_cmat(raw)[None])[0].copy()
     mat.flags.writeable = False
     return DensityMatrix(mat=mat)
 
@@ -237,6 +257,6 @@ def read_matrix_file(path) -> np.ndarray:
         return parse_matrix(handle.read())
 
 
-def digest(state: DensityMatrix) -> str:
-    """Short stable hex digest of a state's raw bytes (witness bookkeeping)."""
-    return hashlib.sha256(np.ascontiguousarray(state.mat).tobytes()).hexdigest()[:16]
+def digest(mat: np.ndarray) -> str:
+    """Short stable hex digest of a state matrix's raw bytes (witness bookkeeping)."""
+    return hashlib.sha256(np.ascontiguousarray(mat).tobytes()).hexdigest()[:16]

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from memslab.sampling import ginibre_state
+from memslab.sampling import ginibre_state, sample_states
+from memslab.states import make_density
 
 
 def rng_from(seed: int) -> np.random.Generator:
@@ -11,6 +12,11 @@ def rng_from(seed: int) -> np.random.Generator:
 def random_state(seed: int, rank: int = 4):
     """One reproducible random state (test helper, not the library stream)."""
     return ginibre_state(rng_from(seed), rank)
+
+
+def sampled_states(spec):
+    """The states of sample_states(spec) one DensityMatrix at a time, in stream order."""
+    return (make_density(mat) for mats in sample_states(spec) for mat in mats)
 
 
 def random_local_unitary(rng: np.random.Generator) -> np.ndarray:

@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 
-from conftest import random_local_unitary
+from conftest import random_local_unitary, sampled_states
 from memslab import cli
 from memslab.frontier import (
     LN4,
@@ -30,7 +30,7 @@ from memslab.measures import (
     tangle,
     von_neumann_entropy,
 )
-from memslab.sampling import EnsembleSpec, GinibreRank, PerturbAbout, sample_states
+from memslab.sampling import EnsembleSpec, GinibreRank, PerturbAbout
 from memslab.states import make_density, mems, read_matrix_file, werner, write_matrix_file
 
 LINEAR = MixednessMetric.LINEAR
@@ -134,7 +134,7 @@ def test_criterion_5_concentration():
 def test_criterion_6_concurrence_negativity_agreement():
     spec = EnsembleSpec(GinibreRank(4), 10_000, seed=4242)
     disagreements = 0
-    for state in sample_states(spec):
+    for state in sampled_states(spec):
         c = concurrence(state)
         n = negativity(state)
         if (c > 1e-7) != (n > 1e-7):
@@ -147,7 +147,7 @@ def test_criterion_7_local_unitary_invariance():
     rng = np.random.default_rng(777)
     spec = EnsembleSpec(GinibreRank(4), 1_000, seed=777)
     worst = 0.0
-    for state in sample_states(spec):
+    for state in sampled_states(spec):
         u = random_local_unitary(rng)
         rotated = make_density(u @ state.mat @ u.conj().T)
         a = measure_report(state)

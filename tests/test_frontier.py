@@ -10,6 +10,7 @@ from memslab.frontier import (
     CertificationReport,
     MixednessMetric,
     UnsupportedMetric,
+    bin_maxima,
     certify,
     certify_states,
     envelope_tangle,
@@ -17,11 +18,12 @@ from memslab.frontier import (
     mems_curve,
     mems_linear_entropy,
     scan,
+    scan_points,
     werner_curve,
 )
 from memslab.measures import linear_entropy, tangle, von_neumann_entropy
-from memslab.sampling import EnsembleSpec, GinibreFull, GinibreRank, PerturbAbout
-from memslab.states import OutOfRange, mems, werner
+from memslab.sampling import BLOCK, EnsembleSpec, GinibreFull, GinibreRank, PerturbAbout, sample_states
+from memslab.states import OutOfRange, digest, make_density, mems, werner
 
 LINEAR = MixednessMetric.LINEAR
 
@@ -171,12 +173,12 @@ class TestCertify:
         assert certify(spec, tolerance=1e-9).passed
 
     def test_envelope_member_is_tight(self):
-        report = certify_states([mems(0.5)], tolerance=1e-9)
+        report = certify_states([mems(0.5).mat[None]], tolerance=1e-9)
         assert abs(report.max_violation) <= 1e-12
         assert report.violating_state is not None
 
     def test_werner_is_interior(self):
-        report = certify_states([werner(0.8)], tolerance=1e-9)
+        report = certify_states([werner(0.8).mat[None]], tolerance=1e-9)
         assert report.max_violation < -0.1  # far below the envelope
 
     def test_tolerance_validated(self):
@@ -184,7 +186,7 @@ class TestCertify:
             with pytest.raises(OutOfRange):
                 certify(EnsembleSpec(GinibreFull(), 1, seed=0), tolerance=tolerance)
             with pytest.raises(OutOfRange):
-                certify_states([mems(0.1)], tolerance=tolerance)
+                certify_states([mems(0.1).mat[None]], tolerance=tolerance)
 
     def test_verdict_logic(self):
         fail = CertificationReport(max_violation=1e-3, violating_state=None,
@@ -193,6 +195,47 @@ class TestCertify:
         ok = CertificationReport(max_violation=-0.2, violating_state=None,
                                  samples_total=1, tolerance=1e-9)
         assert ok.passed and ok.verdict == "PASS"
+
+
+def _clipped(s):
+    return min(max(s, 0.0), 1.0)
+
+
+def test_witnesses_are_first_to_reach_maximum_across_blocks():
+    # 300 full-rank states fill blocks of 128, 128 and 44.  Every 7th is swapped for a
+    # separable Werner state past S_L = 8/9 (tangle 0, envelope 0), so violation 0 is the
+    # largest and ties in every block, and so do the tangle maxima of the top bins.
+    spec = EnsembleSpec(GinibreFull(), 300, seed=21)
+    mats = np.concatenate(list(sample_states(spec)))
+    mats[::7] = [werner(0.3 * j / 43).mat for j in range(43)]
+    stacks = [mats[i:i + BLOCK] for i in range(0, len(mats), BLOCK)]
+    states = [make_density(mat) for mat in mats]
+    taus = [tangle(state) for state in states]
+    mixedness = [_clipped(linear_entropy(state)) for state in states]
+
+    worst, witness, violations = -math.inf, None, []
+    for state, tau, s in zip(states, taus, mixedness):
+        violations.append(tau - envelope_tangle(LINEAR, s))
+        if violations[-1] > worst:
+            worst, witness = violations[-1], state
+    ties = [i for i, v in enumerate(violations) if v == worst]
+    assert worst == 0.0 and ties[0] < BLOCK and ties[-1] >= 2 * BLOCK
+    report = certify_states(stacks, tolerance=1e-9)
+    assert report.max_violation == worst
+    assert np.array_equal(report.violating_state.mat, witness.mat)
+
+    bins = 20
+    cells = [min(int(s * bins), bins - 1) for s in mixedness]
+    occupied = {}  # bin -> [max tangle, witness digest]
+    for state, tau, cell in zip(states, taus, cells):
+        slot = occupied.setdefault(cell, [-1.0, None])
+        if tau > slot[0]:
+            slot[:] = [tau, digest(state.mat)]
+    top = cells[0]  # werner(0): S_L = 1, tangle 0
+    assert occupied[top][0] == 0.0 and sum(cells[i] == top for i in range(BLOCK, len(mats))) > 1
+    env = bin_maxima(scan_points(stacks, LINEAR), LINEAR, bins)
+    assert [(b.max_tangle, b.witness_digest) for b in env.bins] == [
+        tuple(occupied[cell]) for cell in sorted(occupied)]
 
 
 class TestHillClimb:

@@ -1,8 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from conftest import sampled_states
 from memslab.measures import linear_entropy, measure_report, purity, tangle
 from memslab.sampling import (
+    BLOCK,
     CHUNK,
     EnsembleSpec,
     GinibreFull,
@@ -17,6 +21,7 @@ from memslab.sampling import (
     pure_mixture_state,
     sample_states,
     splitmix64,
+    wishart,
 )
 from memslab.states import OutOfRange, make_density, mems
 
@@ -133,13 +138,14 @@ class TestPerturbAbout:
 
 
 def _fingerprint(spec):
-    return [(purity(s), tangle(s)) for s in sample_states(spec)]
+    return [(purity(s), tangle(s)) for s in sampled_states(spec)]
 
 
 class TestSampleBatch:
     def test_exact_count(self):
         spec = EnsembleSpec(GinibreFull(), 2 * CHUNK + 17, seed=4)
-        assert sum(1 for _ in sample_states(spec)) == spec.count
+        sizes = [len(mats) for mats in sample_states(spec)]
+        assert sizes == [BLOCK] * (2 * CHUNK // BLOCK) + [17]
 
     def test_identical_sequences_across_runs(self):
         spec = EnsembleSpec(GinibreRank(2), 300, seed=8)
@@ -147,17 +153,15 @@ class TestSampleBatch:
 
     def test_stream_matches_generate_chunk(self):
         spec = EnsembleSpec(GinibreFull(), 2 * CHUNK + 50, seed=13)
-        chunks = [[(purity(s), tangle(s)) for s in generate_chunk(spec, i, n)]
-                  for i, n in enumerate(chunk_sizes(spec.count))]
+        chunks = [np.concatenate(generate_chunk(spec, i, n)) for i, n in enumerate(chunk_sizes(spec.count))]
         assert [len(chunk) for chunk in chunks] == [CHUNK, CHUNK, 50]
         # chunk by chunk the stream is the concatenation of the per-chunk draws
-        flattened = [pair for chunk in chunks for pair in chunk]
-        assert flattened == _fingerprint(spec)
+        assert np.array_equal(np.concatenate(chunks), np.concatenate(list(sample_states(spec))))
         assert _fingerprint(spec) == _fingerprint(spec)
 
     def test_all_samples_validated(self):
         spec = EnsembleSpec(PureMixture(4), 200, seed=2)
-        for state in sample_states(spec):
+        for state in sampled_states(spec):
             make_density(state.mat)
             report = measure_report(state)
             assert 0.0 <= report.tangle <= 1.0
@@ -165,7 +169,86 @@ class TestSampleBatch:
 
     def test_cloud_bounded(self):
         spec = EnsembleSpec(GinibreFull(), 3000, seed=77)
-        for state in sample_states(spec):
+        for state in sampled_states(spec):
             report = measure_report(state)
             assert report.tangle <= 1.0 + 1e-12
             assert report.linear_entropy <= 1.0 + 1e-12
+
+
+KINDS = {
+    "GinibreFull": GinibreFull(),
+    **{f"GinibreRank({k})": GinibreRank(k) for k in (1, 2, 3, 4)},
+    "PureMixture(1)": PureMixture(1),
+    "PureMixture(6)": PureMixture(6),
+    "PerturbAbout(mems(0.5),0.05)": PerturbAbout(mems(0.5), 0.05),
+}
+
+# sha256 of the bytes of the first ``count`` states of each kind at seed 20260, recorded
+# with the sampler that drew and validated one state at a time.  The counts fall on both
+# sides of the BLOCK (128) and CHUNK (1024) edges.  Being bytes, the digests hold for the
+# floating-point arithmetic of the numpy and BLAS builds they were recorded with
+# (numpy 2.4, OpenBLAS 0.3.31, x86-64).
+GOLDEN = {
+    ("GinibreFull", 1): "8e498257dddfedf2f795c3ee54ab80ab74f215a5f6575ef2b72dd178a0926397",
+    ("GinibreFull", 127): "925d9e9336ca3dbe591013755b78529ce0b711c45a1920592cad7dcc91c340c6",
+    ("GinibreFull", 129): "2dcc7d6d8f24fbf3e9db014c60df19b492faf83119cab65c9f8385fc9e32c183",
+    ("GinibreFull", 1025): "501a65459d883c1bd81059d3ab5469463e63fc0f58b214f0ad76fa2b49ff944f",
+    ("GinibreRank(1)", 1): "a0881cb15441c373c973819c5da6ab44b87089754e5cc85946d9e5aa8a7d8d74",
+    ("GinibreRank(1)", 127): "ec66d5caa7447861b1fce5a27c94b71c23586e7d757210e0ce8b4ab61f8bd500",
+    ("GinibreRank(1)", 129): "256f19d7858a1fe67299c84b842f7c0ecd997b2cec2d2b52bad06b7c031b0519",
+    ("GinibreRank(1)", 1025): "f0ebef5dc9e3dc63a49c9b56b31fb9aa967887d851c8c83a9ef856d256941838",
+    ("GinibreRank(2)", 1): "a2ca57ceaae9d8a8a2bf17a5ba3ef16a8f6ef761a64e2fdc72078dce06e8f805",
+    ("GinibreRank(2)", 127): "243e6c614a7835322e2113eff5e059195d1dd4da465a7d3feb61267bfe068795",
+    ("GinibreRank(2)", 129): "9fdc62ef35f62d2dc1581bd8258ad8a68c36c51491f78693ef74c7d8c0049d63",
+    ("GinibreRank(2)", 1025): "aee19683fa4e414d31f8df122eea26637fbb6c84a1eb71f2df93a62de4ee1be1",
+    ("GinibreRank(3)", 1): "26310eef235cdc3e89bd3ea2ee4fd371c0bb8fc7ceffedfbdc15ea801b97e8bd",
+    ("GinibreRank(3)", 127): "8ce45376ff2c9262b7bd9fd629a890dfce99f58844f2433a1a07f938c594c37d",
+    ("GinibreRank(3)", 129): "df13f09a9cf850431299d2f5323c5ecd2353454fdb949ca19c6ae6458404b11b",
+    ("GinibreRank(3)", 1025): "82e6ddf9d0a98410df889cd58bb2e28997a199524fe8bfa28969802b6c6abcc2",
+    ("GinibreRank(4)", 1): "8e498257dddfedf2f795c3ee54ab80ab74f215a5f6575ef2b72dd178a0926397",
+    ("GinibreRank(4)", 127): "925d9e9336ca3dbe591013755b78529ce0b711c45a1920592cad7dcc91c340c6",
+    ("GinibreRank(4)", 129): "2dcc7d6d8f24fbf3e9db014c60df19b492faf83119cab65c9f8385fc9e32c183",
+    ("GinibreRank(4)", 1025): "501a65459d883c1bd81059d3ab5469463e63fc0f58b214f0ad76fa2b49ff944f",
+    ("PureMixture(1)", 1): "4640de951da9add58c9cd8cc5bd0ba1dd345d519ce173879007e4c6820f134dc",
+    ("PureMixture(1)", 127): "41f56c164d97649288e36c4866a41427ce9ffcb3d2a1f4103941dd137b91b7d3",
+    ("PureMixture(1)", 129): "d19966d7c80589918a753ffb2d45e8dd196d6efe139b0c2e0b6abac1df372b81",
+    ("PureMixture(1)", 1025): "d4aa1b403b4b53b66bcb53816b3b15fa2f6ee16f659579460226bcd977a85349",
+    ("PureMixture(6)", 1): "798218135054823dd16ef3c33f77eeb266478e604cf6498fd7dbd2a865318e0d",
+    ("PureMixture(6)", 127): "46067c3aacc667aac7e1368331bf1b703c1781b51817b0397e9df1dd0c0dea47",
+    ("PureMixture(6)", 129): "19d53080203f97ac6e47d48866174fcf3d448081b6b85b829fe5d0fb50206cec",
+    ("PureMixture(6)", 1025): "8bc5b87a5356f4f04f13722d98af7db8a9659c5d2e18fb86be2517676c57752b",
+    ("PerturbAbout(mems(0.5),0.05)", 1): "f27eafb1c0dfecbd634fba657a69f9e9714c5c37e942c95c5b3d5ae5945d2d5b",
+    ("PerturbAbout(mems(0.5),0.05)", 127): "59badcaee7465b81fbfd2e0dc78f1f40eb37a3dd044c2c009f04238a235e6fd4",
+    ("PerturbAbout(mems(0.5),0.05)", 129): "bd11b9eb302a45121dcbd3aa5fba4d5d1c175ea066e04bcc2b5e867e7d7dd1cc",
+    ("PerturbAbout(mems(0.5),0.05)", 1025): "e73ec0a80b2ad82e8ba412680c937fde7e232bad67fdb235a18bbf1272602d11",
+}
+
+
+@pytest.mark.parametrize("name, count", sorted(GOLDEN), ids=[f"{n}-{c}" for n, c in sorted(GOLDEN)])
+def test_seed_to_states_mapping_is_pinned(name, count):
+    digest = hashlib.sha256()
+    for mats in sample_states(EnsembleSpec(KINDS[name], count, seed=20260)):
+        digest.update(mats.tobytes())
+    assert digest.hexdigest() == GOLDEN[name, count]
+
+
+@pytest.mark.parametrize("name", sorted(KINDS))
+def test_one_state_draw_is_the_first_of_a_chunk(name):
+    kind = KINDS[name]
+    rng = chunk_generator(20260, 0)
+    if isinstance(kind, (GinibreFull, GinibreRank)):
+        state = ginibre_state(rng, getattr(kind, "rank", 4))
+    elif isinstance(kind, PureMixture):
+        state = pure_mixture_state(rng, kind.size)
+    else:
+        state = perturb_about(kind.base, kind.eps, rng)
+    first = generate_chunk(EnsembleSpec(kind, 1, seed=20260), 0, 1)
+    assert np.array_equal(state.mat, first[0][0])
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_wishart_matches_two_draw_reference(rank):
+    ours, ref = chunk_generator(3, rank), chunk_generator(3, rank)
+    for _ in range(200):
+        g = ref.standard_normal((4, rank)) + 1j * ref.standard_normal((4, rank))
+        assert np.array_equal(wishart(ours, rank), g @ g.conj().T)

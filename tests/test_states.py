@@ -24,9 +24,31 @@ from memslab.states import (
     parse_matrix,
     pure_from_vector,
     read_matrix_file,
+    validate_stack,
     werner,
     write_matrix_file,
 )
+
+
+def _non_hermitian():
+    mat = np.eye(4, dtype=complex) / 4
+    mat[0, 1] = 0.2
+    return mat
+
+
+def _non_finite():
+    mat = np.eye(4, dtype=complex) / 4
+    mat[2, 1] = np.nan
+    return mat
+
+
+# one matrix failing each check of make_density, with the error it raises
+BAD = {
+    "trace": (np.diag([1.0, 1.0, 0.0, 0.0]).astype(complex), TraceNotOne),
+    "psd": (np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex), NotPSD),
+    "hermiticity": (_non_hermitian(), NotHermitian),
+    "non-finite": (_non_finite(), ValueError),
+}
 
 
 class TestMakeDensity:
@@ -49,6 +71,33 @@ class TestMakeDensity:
         mat[0, 1] = 0.2
         with pytest.raises(NotHermitian):
             make_density(mat)
+
+    def test_non_finite_violation(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            make_density(_non_finite())
+
+    @pytest.mark.parametrize("k", [0, 2, 4])
+    @pytest.mark.parametrize("case", sorted(BAD))
+    def test_stack_rejects_like_make_density(self, case, k):
+        bad, error = BAD[case]
+        with pytest.raises(error) as alone:
+            make_density(bad)
+        stack = np.stack([mems(0.2 * i).mat for i in range(5)])
+        stack[k] = bad
+        # later matrices failing the other checks must not mask the first bad one
+        later = [BAD[other][0] for other in sorted(BAD) if other != case]
+        with pytest.raises(error) as stacked:
+            validate_stack(np.concatenate([stack, later]))
+        assert type(stacked.value) is type(alone.value)
+        assert str(stacked.value) == str(alone.value)
+
+    def test_stack_shapes(self):
+        assert validate_stack(np.empty((0, 4, 4))).shape == (0, 4, 4)
+        stack = np.stack([werner(0.3).mat, mems(0.7).mat])
+        assert np.array_equal(validate_stack(stack), stack)
+        for shape in ((4, 4), (2, 4, 3), (1, 2, 4, 4)):
+            with pytest.raises(ValueError, match="stack of 4x4"):
+                validate_stack(np.zeros(shape))
 
     def test_no_silent_repair(self):
         nearly = np.eye(4, dtype=complex) / 4 * (1 + 1e-6)
