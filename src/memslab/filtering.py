@@ -17,8 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import linear_entropy_of_mat, tangle_batch, tangle_of_mat
-from .states import DensityMatrix, OutOfRange, make_density
+# tangle_of_mat is unused here but stays bound: bench/spans.py traces it at filtering.tangle_of_mat
+from .measures import linear_entropy_of_mat, tangle_batch, tangle_of_mat  # noqa: F401
+from .states import DensityMatrix, OutOfRange, make_density, validate_stack
 
 log = logging.getLogger(__name__)
 
@@ -99,6 +100,8 @@ def kappa_schedule(steps: int, kappa_lo: float = 1e-3) -> np.ndarray:
     """Geometric kappa sweep from 1 down to kappa_lo (the default schedule)."""
     if steps < 1:
         raise OutOfRange(f"need at least 1 step, got {steps}")
+    if not 0.0 < kappa_lo <= 1.0:
+        raise OutOfRange(f"kappa_lo={kappa_lo} outside (0, 1]")
     if steps == 1:
         return np.array([1.0])
     return np.geomspace(1.0, kappa_lo, steps)
@@ -109,21 +112,22 @@ def trajectory(start: DensityMatrix, schedule: list[LocalFilter]) -> list[Trajec
 
     Each point is an independent single-shot application to ``start``.
     Filters whose success probability vanishes are skipped (the returned
-    points carry their filter, so gaps are visible to the caller).
+    points carry their filter, so gaps are visible to the caller).  The
+    filtered states are validated and measured as one stack, with the same
+    arithmetic as apply_filter, so every point is bit for bit its result.
     """
     if not schedule:
         raise OutOfRange("filter schedule is empty")
-    points = []
-    for f in schedule:
-        try:
-            outcome = apply_filter(start, f)
-        except VanishingSuccess as exc:
-            log.debug("skipping %s: %s", f, exc)
-            continue
-        mat = outcome.state.mat
-        points.append(TrajectoryPoint(filter=f, s_linear=linear_entropy_of_mat(mat),
-                                      tangle=tangle_of_mat(mat), success_prob=outcome.success_prob))
-    return points
+    d = np.array([f.diagonal() for f in schedule])
+    p = (d * d * start.mat.real.diagonal()).sum(axis=1)  # apply_filter's sum, one row per filter
+    kept = np.flatnonzero(p > SUCCESS_FLOOR)
+    if kept.size < len(schedule):
+        log.debug("skipping %d filters with success probability at or below %.0e",
+                  len(schedule) - kept.size, SUCCESS_FLOOR)
+    mats = validate_stack((d[kept, :, None] * start.mat) * d[kept, None, :] / p[kept, None, None])
+    return [TrajectoryPoint(filter=schedule[k], s_linear=linear_entropy_of_mat(mat), tangle=tau,
+                            success_prob=float(p[k]))
+            for k, mat, tau in zip(kept.tolist(), mats, tangle_batch(mats).tolist())]
 
 
 def best_filter(start: DensityMatrix, grid_resolution: int) -> tuple[LocalFilter, FilterOutcome]:

@@ -29,6 +29,7 @@ from .sampling import EnsembleSpec, sample_states, wishart
 from .states import DensityMatrix, OutOfRange, digest, make_density, mems_population, werner
 
 LN4 = math.log(4.0)
+WINDOW = 8  # hill_climb proposals whose tangles are computed as one stack
 
 S_BRANCH = 16.0 / 27.0  # linear entropy at the gamma = 2/3 branch point
 S_EDGE = 8.0 / 9.0      # largest linear entropy the boundary family reaches
@@ -246,30 +247,48 @@ def hill_climb(
     toward generic full-rank noise can only dilute the concurrence).  A move
     is accepted when the tangle strictly increases and the chosen mixedness
     stays within +-band of the start's value.
+
+    Each step draws from ``rng`` in a fixed order, at most WINDOW steps ahead.
+    The drawn proposals are built against the current state and their
+    tangles computed as one stack; the first that passes is accepted and the
+    window restarts after it, so the witness is the one that evaluating one
+    proposal per step gives.
     """
     if steps < 1:
         raise OutOfRange(f"need at least 1 step, got {steps}")
+    if not 0.0 < band < math.inf:
+        raise OutOfRange(f"band={band} must be positive and finite")
+    if not 0.0 < eps_lo <= eps_hi <= 1.0:
+        raise OutOfRange(f"need 0 < eps_lo <= eps_hi <= 1, got eps_lo={eps_lo}, eps_hi={eps_hi}")
     anchor = _metric_value(metric, start.mat)
     current = start.mat
     current_tangle = tangle_of_mat(current)
     root = psd_sqrt(current)
     ratio = (eps_lo / eps_hi) ** (1.0 / max(steps - 1, 1))
     eps = eps_hi
-    for _ in range(steps):
-        rank = int(rng.integers(1, 5))
-        w = eps * (1.0 - rng.random())
-        wish = wishart(rng, rank)
-        support_weighted = rng.random() < 0.5
-        eps *= ratio
-        if support_weighted:
-            wish = root @ wish @ root
-        tr = float(np.trace(wish).real)
-        if tr <= 0.0:
-            continue
-        candidate = (1.0 - w) * current + (w / tr) * wish
-        cand_tangle = tangle_of_mat(candidate)
-        if cand_tangle > current_tangle and abs(_metric_value(metric, candidate) - anchor) <= band:
-            current = candidate
-            current_tangle = cand_tangle
-            root = psd_sqrt(current)
+    drawn = 0
+    ws, wishes, support_weighted = [], [], []  # the draws of the steps not yet evaluated
+    while ws or drawn < steps:
+        while len(ws) < WINDOW and drawn < steps:
+            rank = int(rng.integers(1, 5))
+            ws.append(eps * (1.0 - rng.random()))
+            wishes.append(wishart(rng, rank))
+            support_weighted.append(rng.random() < 0.5)
+            eps *= ratio
+            drawn += 1
+        sigma = np.array(wishes)
+        sigma[support_weighted] = root @ sigma[support_weighted] @ root
+        tr = np.trace(sigma, axis1=1, axis2=2).real
+        live = np.flatnonzero(tr > 0.0)  # a step whose Tr vanishes proposes nothing
+        w = np.array(ws)[live, None, None]
+        proposals = (1.0 - w) * current + (w / tr[live, None, None]) * sigma[live]
+        evaluated = len(ws)
+        for k, candidate, cand_tangle in zip(live.tolist(), proposals, tangle_batch(proposals).tolist()):
+            if cand_tangle > current_tangle and abs(_metric_value(metric, candidate) - anchor) <= band:
+                current = candidate
+                current_tangle = cand_tangle
+                root = psd_sqrt(current)
+                evaluated = k + 1
+                break
+        del ws[:evaluated], wishes[:evaluated], support_weighted[:evaluated]
     return make_density(current)

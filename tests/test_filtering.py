@@ -18,7 +18,7 @@ from memslab.filtering import (
     trajectory,
     two_sided_filter,
 )
-from memslab.measures import linear_entropy, tangle, tangle_batch
+from memslab.measures import linear_entropy, linear_entropy_of_mat, tangle, tangle_batch, tangle_of_mat
 from memslab.states import (
     BellKind,
     OutOfRange,
@@ -193,6 +193,15 @@ class TestKappaSchedule:
         with pytest.raises(OutOfRange):
             kappa_schedule(0)
 
+    @pytest.mark.parametrize("kappa_lo", [0.0, -1.0, float("nan"), 1.5, float("inf")])
+    @pytest.mark.parametrize("steps", [1, 5])
+    def test_kappa_lo_validated(self, steps, kappa_lo):
+        with pytest.raises(OutOfRange):
+            kappa_schedule(steps, kappa_lo)
+
+    def test_flat_schedule(self):
+        assert kappa_schedule(3, 1.0).tolist() == [1.0, 1.0, 1.0]
+
 
 class TestBestFilter:
     def test_bell_keeps_identity(self):
@@ -254,3 +263,50 @@ def test_best_filter_matches_sequential_reduce(start, g):
     reference = apply_filter(state, expected)
     assert np.array_equal(outcome.state.mat, reference.state.mat)
     assert outcome.success_prob == reference.success_prob
+
+
+def per_filter_trajectory(start, schedule):
+    """Reference trajectory: apply and measure one filter at a time."""
+    points = []
+    for f in schedule:
+        try:
+            outcome = apply_filter(start, f)
+        except VanishingSuccess:
+            continue
+        mat = outcome.state.mat
+        points.append((f, linear_entropy_of_mat(mat), tangle_of_mat(mat), outcome.success_prob))
+    return points
+
+
+TRAJECTORY_STARTS = {
+    "mems(0.3)": mems(0.3),
+    "mems(0.8)": mems(0.8),
+    "werner(0.7)": werner(0.7),
+    "ginibre-rank1": random_state(1, 1),
+    "ginibre-rank2": random_state(2, 2),
+    "ginibre-rank4": random_state(3, 4),
+    "lopsided": pure_from_vector([1, 1e-9, 0, 0]),
+}
+SCHEDULES = {
+    "two-sided": [two_sided_filter(k) for k in kappa_schedule(20)],
+    "one-sided": [one_sided_filter(k) for k in kappa_schedule(20)],
+    "identity": [IDENTITY_FILTER],
+    # kappa below 1e-7 leaves the lopsided start a success probability below SUCCESS_FLOOR
+    "deep-one-sided": [one_sided_filter(k) for k in kappa_schedule(12, 1e-12)],
+}
+
+
+@pytest.mark.parametrize("schedule", sorted(SCHEDULES))
+@pytest.mark.parametrize("start", sorted(TRAJECTORY_STARTS))
+def test_trajectory_matches_per_filter_loop(start, schedule):
+    state, filters = TRAJECTORY_STARTS[start], SCHEDULES[schedule]
+    points = trajectory(state, filters)
+    expected = per_filter_trajectory(state, filters)
+    assert [(p.filter, p.s_linear, p.tangle, p.success_prob) for p in points] == expected
+    assert all(type(v) is float for p in points for v in (p.s_linear, p.tangle, p.success_prob))
+    if start == "lopsided" and schedule == "deep-one-sided":
+        assert 0 < len(points) < len(filters)  # some filters skipped, some kept
+
+
+def test_trajectory_with_every_filter_skipped():
+    assert trajectory(pure_from_vector([1, 0, 0, 0]), [LocalFilter(1e-8, 1.0, 1.0, 1.0)]) == []

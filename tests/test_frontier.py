@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -21,11 +22,14 @@ from memslab.frontier import (
     scan_points,
     werner_curve,
 )
-from memslab.measures import linear_entropy, tangle, von_neumann_entropy
-from memslab.sampling import BLOCK, EnsembleSpec, GinibreFull, GinibreRank, PerturbAbout, sample_states
+from memslab.linalg import psd_sqrt
+from memslab.measures import linear_entropy, linear_entropy_of_mat, tangle, tangle_of_mat, von_neumann_entropy
+from memslab.sampling import (BLOCK, EnsembleSpec, GinibreFull, GinibreRank, PerturbAbout, ginibre_state,
+                              sample_states, wishart)
 from memslab.states import OutOfRange, digest, make_density, mems, werner
 
 LINEAR = MixednessMetric.LINEAR
+VN = MixednessMetric.VON_NEUMANN_NORMALIZED
 
 
 def werner_tangle(gamma):
@@ -274,3 +278,86 @@ class TestHillClimb:
     def test_steps_validated(self):
         with pytest.raises(OutOfRange):
             hill_climb(mems(0.3), LINEAR, steps=0, rng=np.random.default_rng(0))
+
+    @pytest.mark.parametrize("kwargs", [
+        {"band": math.nan}, {"band": -1.0}, {"band": 0.0}, {"band": math.inf},
+        {"eps_lo": 0.0}, {"eps_lo": -1e-4}, {"eps_lo": math.nan}, {"eps_lo": 0.2},
+        {"eps_hi": 0.0}, {"eps_hi": 3.0}, {"eps_hi": math.nan}, {"eps_hi": math.inf},
+    ], ids=lambda kwargs: ",".join(f"{k}={v}" for k, v in kwargs.items()))
+    def test_parameters_validated(self, kwargs):
+        # eps_lo=0.2 exceeds the default eps_hi=0.1
+        with pytest.raises(OutOfRange):
+            hill_climb(mems(0.3), LINEAR, steps=10, rng=np.random.default_rng(0), **kwargs)
+
+    def test_widest_parameters_accepted(self):
+        best = hill_climb(mems(0.3), LINEAR, steps=10, rng=np.random.default_rng(0),
+                          band=1.0, eps_hi=1.0, eps_lo=1.0)
+        assert tangle(best) >= tangle(mems(0.3))
+
+
+def sequential_hill_climb(start, metric, steps, rng, band=1e-3, eps_hi=0.1, eps_lo=1e-4):
+    """Reference climb: draw, build and measure one proposal per step."""
+    def mixedness(mat):
+        return linear_entropy_of_mat(mat) if metric is LINEAR else von_neumann_entropy(make_density(mat)) / LN4
+
+    anchor = mixedness(start.mat)
+    current = start.mat
+    current_tangle = tangle_of_mat(current)
+    root = psd_sqrt(current)
+    ratio = (eps_lo / eps_hi) ** (1.0 / max(steps - 1, 1))
+    eps = eps_hi
+    for _ in range(steps):
+        rank = int(rng.integers(1, 5))
+        w = eps * (1.0 - rng.random())
+        wish = wishart(rng, rank)
+        support_weighted = rng.random() < 0.5
+        eps *= ratio
+        if support_weighted:
+            wish = root @ wish @ root
+        tr = float(np.trace(wish).real)
+        if tr <= 0.0:
+            continue
+        candidate = (1.0 - w) * current + (w / tr) * wish
+        cand_tangle = tangle_of_mat(candidate)
+        if cand_tangle > current_tangle and abs(mixedness(candidate) - anchor) <= band:
+            current, current_tangle, root = candidate, cand_tangle, psd_sqrt(candidate)
+    return current
+
+
+CLIMB_STARTS = {
+    "mems(0.6)": mems(0.6),
+    "werner(0.8)": werner(0.8),
+    "ginibre-rank1": ginibre_state(np.random.default_rng(5), 1),
+    "ginibre-rank2": ginibre_state(np.random.default_rng(6), 2),
+}
+
+
+@pytest.mark.parametrize("steps", [1, 7, 8, 9, 40, 300])  # both sides of the window edges
+@pytest.mark.parametrize("start", sorted(CLIMB_STARTS))
+@pytest.mark.parametrize("metric", [LINEAR, VN], ids=["linear", "vn"])
+def test_hill_climb_matches_sequential_climb(metric, start, steps):
+    rng, ref_rng = np.random.default_rng(steps), np.random.default_rng(steps)
+    witness = hill_climb(CLIMB_STARTS[start], metric, steps, rng)
+    assert np.array_equal(witness.mat, sequential_hill_climb(CLIMB_STARTS[start], metric, steps, ref_rng))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state  # every step drawn, nothing more
+
+
+# sha256 of hill_climb witnesses recorded with the one-proposal-per-step climb.  Being
+# bytes, they hold for the floating-point arithmetic of the numpy and BLAS builds they
+# were recorded with (numpy 2.4, OpenBLAS 0.3.31, x86-64).
+CLIMB_GOLDEN = {
+    ("mems(0.6)", "linear", 60, 1): "3a7d3ff118432ffd4cfac72981a0297480b6252fa17f5435c4f9067f495341c2",
+    ("mems(0.6)", "vn", 60, 2): "446b96e7907b8620390864b74eb94b968137d0b73b3a09e020828c9410cc9dad",
+    ("werner(0.8)", "linear", 60, 3): "3095d96f26ecde7df58fd7c02f1a25997d9b56fc1315468e567038bf7f6ce4f2",
+    ("werner(0.8)", "vn", 60, 4): "6fcc3ea1d610da7b6f08dd1a74ce4192ccb63ab63ad93a90f396245b6661fea2",
+    ("ginibre-rank1", "vn", 60, 5): "2475e669c78ed08cd7438c28a7e423e1a4aa6a6e19991d0c8c3a98956ed8f484",
+    ("ginibre-rank2", "linear", 60, 6): "4fd9d6e884560d0bb90665fd4e731d0d7448028d819003a82ad83fd75dc6b18f",
+}
+
+
+@pytest.mark.parametrize("start, metric, steps, seed", sorted(CLIMB_GOLDEN),
+                         ids=[f"{s}-{m}-{n}-seed{r}" for s, m, n, r in sorted(CLIMB_GOLDEN)])
+def test_hill_climb_witness_is_pinned(start, metric, steps, seed):
+    witness = hill_climb(CLIMB_STARTS[start], MixednessMetric(metric), steps, np.random.default_rng(seed))
+    assert not np.array_equal(witness.mat, CLIMB_STARTS[start].mat)
+    assert hashlib.sha256(witness.mat.tobytes()).hexdigest() == CLIMB_GOLDEN[start, metric, steps, seed]
