@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import random_state
 from memslab.filtering import (
     IDENTITY_FILTER,
+    SCREEN_MARGIN,
     FilterOutcome,
     LocalFilter,
     VanishingSuccess,
@@ -21,6 +22,9 @@ from memslab.filtering import (
 from memslab.measures import linear_entropy, linear_entropy_of_mat, tangle, tangle_batch, tangle_of_mat
 from memslab.states import (
     BellKind,
+    DensityMatrix,
+    NotHermitian,
+    NotPSD,
     OutOfRange,
     bell,
     make_density,
@@ -247,10 +251,20 @@ def sequential_best_filter(start, g):
     return LocalFilter(*best[0])
 
 
+def climb_cell(i, seed=1):
+    """The mems start of cell i (of 108) in the filter-climb benchmark workload at ``seed``."""
+    jitter = float(np.random.default_rng(seed).random(108)[i])
+    return mems((i + 0.5 + 0.8 * (jitter - 0.5)) / 108)
+
+
 REDUCE_STARTS = ([mems(gamma) for gamma in (0.2, 0.5, 0.8)]
                  + [werner(gamma) for gamma in (0.3, 0.7)]
                  + [random_state(seed, rank) for seed, rank in ((1, 1), (2, 2), (3, 4))]
-                 + [maximally_mixed()])  # all-tie case: every grid tangle is 0
+                 + [maximally_mixed()]  # all-tie case: every grid tangle is 0
+                 # start tangles of 2.5e-5 and 1e-4 shrink the closed-form gaps between grid points
+                 + [mems(0.005), werner(0.34)]
+                 + [random_state(seed, rank) for seed in (11, 12, 13) for rank in (1, 2, 3)]
+                 + [climb_cell(i) for i in range(4, 108, 9)])
 
 
 @pytest.mark.parametrize("g", [2, 3, 4, 5, 6])
@@ -263,6 +277,67 @@ def test_best_filter_matches_sequential_reduce(start, g):
     reference = apply_filter(state, expected)
     assert np.array_equal(outcome.state.mat, reference.state.mat)
     assert outcome.success_prob == reference.success_prob
+
+
+IDENTITY_TOL = 1e-12  # best_filter's screen is exact while twice this stays below SCREEN_MARGIN
+IDENTITY_STARTS = {
+    **{f"ginibre-rank{rank}": random_state(20 + rank, rank) for rank in (1, 2, 3, 4)},
+    "mems(0.005)": mems(0.005),
+    "mems(0.4)": mems(0.4),
+    "mems(0.9)": mems(0.9),
+    "werner(0.34)": werner(0.34),
+    "werner(0.8)": werner(0.8),
+}
+
+
+@pytest.mark.parametrize("start", sorted(IDENTITY_STARTS))
+def test_filtered_tangle_determinant_identity(start):
+    """tau(D rho D / p) = tau(rho) (a0 a1 b0 b1 / p)^2 for grid filters, as best_filter's screen assumes."""
+    assert 2 * IDENTITY_TOL < SCREEN_MARGIN
+    state = IDENTITY_STARTS[start]
+    tau = tangle(state)
+    rng = np.random.default_rng(7)
+    for _ in range(60):
+        g = int(rng.integers(2, 21))
+        f = LocalFilter(*(float(k) / g for k in rng.integers(1, g + 1, size=4)))
+        outcome = apply_filter(state, f)
+        closed = tau * (f.a0 * f.a1 * f.b0 * f.b1 / outcome.success_prob) ** 2
+        assert abs(tangle(outcome.state) - closed) <= IDENTITY_TOL, f
+
+
+def unchecked_start(kind):
+    """A DensityMatrix built without make_density, failing its checks as ``kind`` says.
+
+    The "hidden" starts pass the checks themselves, and so do their filtered
+    states near the tangle maximum; only some filters far from it (with
+    a1 = 1/6 at g = 6) amplify the defect past HERM_TOL or PSD_CLAMP.
+    """
+    if kind == "not-psd":
+        return DensityMatrix(mat=mems(0.5).mat + np.diag([0.05, 0.05, -0.1, 0.0]))
+    if kind == "not-hermitian":
+        mat = mems(0.5).mat.copy()
+        mat[0, 3] += 0.01
+        return DensityMatrix(mat=mat)
+    if kind == "hidden-not-psd":
+        # eigenvalue -6e-11 along (|00> - |01>)/sqrt(2), a null vector of the entangled part
+        psi = np.array([0.5, 0.5, 0.0, np.sqrt(0.5)])
+        null = np.array([1.0, -1.0, 0.0, 0.0]) / np.sqrt(2)
+        eps = 6e-11
+        mat = 0.7 * np.outer(psi, psi) + np.diag([0.0, 0.0, 0.3 + eps, 0.0]) - eps * np.outer(null, null)
+        return DensityMatrix(mat=mat.astype(np.complex128))
+    # anti-Hermitian 3e-11j on the |00>,|01> coherences of a mems-like start
+    mat = np.zeros((4, 4), dtype=np.complex128)
+    mat[0, 0] = mat[3, 3] = mat[0, 3] = mat[3, 0] = 0.25
+    mat[1, 1] = 0.5
+    mat[0, 1] = mat[1, 0] = 3e-11j
+    return DensityMatrix(mat=mat)
+
+
+@pytest.mark.parametrize("kind, error", [("not-psd", NotPSD), ("not-hermitian", NotHermitian),
+                                         ("hidden-not-psd", NotPSD), ("hidden-not-hermitian", NotHermitian)])
+def test_best_filter_validates_every_filtered_state(kind, error):
+    with pytest.raises(error):
+        best_filter(unchecked_start(kind), 6)
 
 
 def per_filter_trajectory(start, schedule):
