@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from itertools import chain
 from typing import Iterator
 
 import numpy as np
@@ -31,6 +30,7 @@ _BELL_BY_NAME = {
 }
 
 PERTURB_GAMMAS = [round(0.05 * i, 2) for i in range(1, 20)]  # 0.05 .. 0.95
+PERTURB_BASES = tuple(states.mems(gamma) for gamma in PERTURB_GAMMAS)  # built once, not per call
 
 
 def fmt(value: float) -> str:
@@ -94,12 +94,12 @@ def _ensemble_specs(args) -> list[sampling.EnsembleSpec]:
         # spread the budget over a gamma sweep of the boundary family
         share, extra = divmod(args.count, len(PERTURB_GAMMAS))
         specs = []
-        for i, gamma in enumerate(PERTURB_GAMMAS):
+        for i, base in enumerate(PERTURB_BASES):
             count = share + (1 if i < extra else 0)
             if count == 0:
                 continue
             specs.append(sampling.EnsembleSpec(
-                sampling.PerturbAbout(states.mems(gamma), args.eps),
+                sampling.PerturbAbout(base, args.eps),
                 count,
                 args.seed ^ sampling.splitmix64(1 + i),
             ))
@@ -121,7 +121,7 @@ def _ensemble_states(args) -> Iterator[np.ndarray]:
         return (np.stack([states.mems((i + 1) / (args.count + 1)).mat
                           for i in range(start, min(start + sampling.BLOCK, args.count))])
                 for start in range(0, args.count, sampling.BLOCK))
-    return chain.from_iterable(sampling.sample_states(spec) for spec in _ensemble_specs(args))
+    return sampling.sample_states(*_ensemble_specs(args))
 
 
 def _envelope_path(out: str) -> str:
@@ -226,10 +226,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()  # parsing leaves no state in the parser, so one serves every run
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on usage errors
         return int(exc.code or 0)
     try:

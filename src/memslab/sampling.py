@@ -5,16 +5,20 @@ Determinism contract: the sequence of sampled states is a pure function of
 ``i`` owns a counter-based Philox generator keyed by
 ``seed XOR splitmix64(i)``, so its states depend only on (kind, seed, i, its
 size) and any chunk can be regenerated on its own with generate_chunk.
-Within a chunk, blocks of at most BLOCK states are drawn one after another
-from the chunk's one generator, each state's draws in the same order as
-when states are drawn one at a time, so the block size does not change
-which states a seed gives.  Each block is validated as one (n, 4, 4) stack.
+Each state's draws come from its chunk's generator in the same order as
+when states are drawn one at a time, so how the draws are cut into stacks
+does not change which states a seed gives.
+
+sample_states(*specs) is one stream over the specs' chunks in order: it
+cuts them into stacks of BLOCK states (the last may be shorter) that run
+across chunk and spec boundaries, and validates each stack once.  For one
+spec every stack lies inside one chunk, since CHUNK is a multiple of BLOCK.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Iterable, Iterator, Union
 
 import numpy as np
 
@@ -140,8 +144,8 @@ def _perturbations(rng: np.random.Generator, n: int, base: DensityMatrix, eps: f
         uniforms[i] = rng.random()
         rng.standard_normal(out=normals[i])
     w = (eps * (1.0 - uniforms))[:, None, None]  # uniform on (0, eps]
-    noise = validate_stack(_unit_trace(_wishart(normals)))
-    return (1.0 - w) * base.mat + w * noise
+    # a non-finite noise state makes its mix non-finite, which the mix's block check rejects
+    return (1.0 - w) * base.mat + w * _unit_trace(_wishart(normals))
 
 
 def _draw(kind: EnsembleKind, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -176,14 +180,40 @@ def chunk_sizes(count: int) -> list[int]:
     return [CHUNK] * full + ([rest] if rest else [])
 
 
+def _validated(pieces: list[np.ndarray]) -> np.ndarray:
+    # a stack drawn in one piece is validated as it is, not copied
+    return validate_stack(pieces[0] if len(pieces) == 1 else np.concatenate(pieces))
+
+
+def _stacks(chunks: Iterable[tuple[EnsembleKind, np.random.Generator, int]]) -> Iterator[np.ndarray]:
+    """The states of (kind, generator, size) chunks, in order, as validated stacks of BLOCK states.
+
+    A stack takes its states from as many chunks as it needs and is validated
+    once; only the last stack may hold fewer than BLOCK states.
+    """
+    pieces, room = [], BLOCK
+    for kind, rng, size in chunks:
+        while size:
+            n = min(room, size)
+            pieces.append(_draw(kind, rng, n))
+            size -= n
+            room -= n
+            if not room:
+                yield _validated(pieces)
+                pieces, room = [], BLOCK
+    if pieces:
+        yield _validated(pieces)
+
+
 def generate_chunk(spec: EnsembleSpec, index: int, size: int) -> list[np.ndarray]:
     """Chunk ``index`` of the stream: validated stacks of at most BLOCK states, in order."""
-    rng = chunk_generator(spec.seed, index)
-    return [validate_stack(_draw(spec.kind, rng, min(BLOCK, size - start)))
-            for start in range(0, size, BLOCK)]
+    return list(_stacks([(spec.kind, chunk_generator(spec.seed, index), size)]))
 
 
-def sample_states(spec: EnsembleSpec) -> Iterator[np.ndarray]:
-    """The spec.count states of the ensemble as validated (n, 4, 4) stacks, in stream order."""
-    for i, n in enumerate(chunk_sizes(spec.count)):
-        yield from generate_chunk(spec, i, n)
+def sample_states(*specs: EnsembleSpec) -> Iterator[np.ndarray]:
+    """The states of every spec, in spec and stream order, as validated (n, 4, 4) stacks.
+
+    Stacks hold BLOCK states, except the last, and may span chunks and specs.
+    """
+    return _stacks((spec.kind, chunk_generator(spec.seed, i), n)
+                   for spec in specs for i, n in enumerate(chunk_sizes(spec.count)))

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -8,7 +9,7 @@ import pytest
 import memslab
 from memslab import cli, frontier
 from memslab.sampling import EnsembleSpec, GinibreRank
-from memslab.states import maximally_mixed, write_matrix_file
+from memslab.states import digest, maximally_mixed, write_matrix_file
 
 
 def run_cli(*argv):
@@ -215,6 +216,94 @@ class TestEnsembleFlags:
         assert run_cli("scan", "--ensemble", ensemble, *budget, "--out", str(out)) == 2
         assert not out.exists()
         assert not (tmp_path / "e_envelope.csv").exists()
+
+
+def sha256_bytes(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+class TestPerturbMemsGoldens:
+    """sha256 of perturb-mems outputs at --seed 11, recorded with the per-part sampler.
+
+    At --count 39000 every one of the 19 parts spans three CHUNKs.  Being bytes,
+    the digests hold for the numpy and BLAS builds they were recorded with
+    (numpy 2.4, OpenBLAS 0.3.31, x86-64).
+    """
+
+    SCAN = {  # (metric, count) -> (points CSV, envelope CSV)
+        ("linear", 1): ("ec6cc924e020d5458ac2f96a1fdbd046901217dbfbda9355bccd330a3734db2d",
+                        "9e5f54a7382777d39cacfa352c40bb7c6619e77a21c680b9a0f00230b58a8218"),
+        ("vn", 1): ("84c53fcead1818766bec1791c6f798201ed8b4f98ad380a033d8e36e03f0c99d",
+                    "ba1e0a1b4162f0bec4686f93db057c0cebad2797d4256c527f5fa1a3f459be2c"),
+        ("linear", 38): ("37bb9c5e98410a238eb559ed2b6552a6f11e28bbbaa0d239d9e50acfda345e85",
+                         "3b0f86d3eed5636aab155b877f2c96b446b0fcc594007604050109c7a247f67f"),
+        ("vn", 38): ("842a73e98266fc88d726ec86e674fd1a31d5ba1f6a0a1be413bf9699a819b572",
+                     "5a845f0456e3f6afd26f46279df5581a3b68c527a31ee284b9224062380ed5a4"),
+        ("linear", 1000): ("db98ea2d3780d84a60387be1348fc17f4dd4a2d50d4995bf8d7d7b71d2ad7dbd",
+                           "b3349c001c6f4d530e8c9a2f2ae8819997c544cc7f375cfe1295ba5947113039"),
+        ("vn", 1000): ("a5e6cc29f9d54a2295eb70a094d2dfab20afe3a813107341d436a89f73047347",
+                       "e7ecd15d52cf0013d9e0a3c08b681e59c408f34b1e49c068ddee8f8fabe78999"),
+        ("linear", 39000): ("4c519351ad4c55f4af8cd42d917a2d109f78a8f3d7eef8c9fc8d1bc21ba0ab8c",
+                            "f13bb4240270579cca4069f9a1466f8902816496ed9659b4d0c51cb25f7715ed"),
+        ("vn", 39000): ("967bf1f72e36d4fca8d1f3b4087f3bbf2941ea8cbf62979d675d5f5ff1092790",
+                        "cdc35b1241a450d343dda32c80d55ef6d9b7b81b22a43e3c745cfbfe4eeac5d7"),
+    }
+    CERTIFY = {  # count -> (stdout, witness digest)
+        1: ("748dedd1bd290ce6012401888df3b16111ee8abc87486447eb36b916dd9c83da", "e5a98701235e2043"),
+        38: ("684d3838106fabbd4641060d456de529aecba93fd425bf5642451bebc0cd0d97", "e5a98701235e2043"),
+        1000: ("ec5ff5b2afd19393e358d743135044d5644705106ac1d2e85c9f8fcbc0eb43ee", "e5a98701235e2043"),
+        39000: ("7437eaeaa5c1862d0121ff670c34e16741990411a53d5f5a720669a0c35d6fe3", "e5a98701235e2043"),
+    }
+
+    @pytest.mark.parametrize("metric, count", sorted(SCAN))
+    def test_scan_csvs(self, tmp_path, metric, count):
+        out = tmp_path / "p.csv"
+        assert run_cli("scan", "--ensemble", "perturb-mems", "--count", str(count), "--seed", "11",
+                       "--metric", metric, "--out", str(out)) == 0
+        digests = (sha256_bytes(out.read_bytes()), sha256_bytes((tmp_path / "p_envelope.csv").read_bytes()))
+        assert digests == self.SCAN[metric, count]
+
+    @pytest.mark.parametrize("count", sorted(CERTIFY))
+    def test_certify_stdout_and_witness(self, capsys, monkeypatch, count):
+        reports = []
+        certify_states = cli.frontier.certify_states
+
+        def keep(stacks, tolerance):
+            reports.append(certify_states(stacks, tolerance))
+            return reports[-1]
+
+        monkeypatch.setattr(cli.frontier, "certify_states", keep)
+        assert run_cli("certify", "--ensemble", "perturb-mems", "--count", str(count), "--seed", "11") == 0
+        stdout = sha256_bytes(capsys.readouterr().out.encode("ascii"))
+        assert (stdout, digest(reports[0].violating_state.mat)) == self.CERTIFY[count]
+
+
+def test_reused_parser_matches_a_fresh_one(tmp_path, monkeypatch, capsys):
+    # one process, one parser: no default or parsed value may leak from a call into the next
+    calls = [
+        ["scan", "--count", "10"],  # usage error: --out is missing
+        ["scan", "--metric", "vn", "--count", "60", "--seed", "4", "--bins", "20", "--out", "{dir}/vn.csv"],
+        ["scan", "--count", "60", "--out", "{dir}/defaults.csv"],
+        ["certify", "--count", "60"],
+        ["measure", "--family", "mems", "--gamma", "0.5"],
+        ["--help"],
+    ]
+
+    def outcomes(directory, fresh):
+        directory.mkdir()
+        seen = []
+        for argv in calls:
+            if fresh:
+                monkeypatch.setattr(cli, "_PARSER", cli.build_parser())
+            code = cli.run([arg.format(dir=directory) for arg in argv])
+            seen.append((code, *capsys.readouterr()))
+        files = {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
+        return seen, files
+
+    reused = outcomes(tmp_path / "reused", fresh=False)
+    assert [code for code, _, _ in reused[0]] == [2, 0, 0, 0, 0, 0]
+    assert len(reused[1]) == 4
+    assert reused == outcomes(tmp_path / "fresh", fresh=True)
 
 
 class TestConcentrate:

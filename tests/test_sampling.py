@@ -1,9 +1,12 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
 
 from conftest import sampled_states
+from memslab import cli, sampling
+from memslab.frontier import MixednessMetric, bin_maxima, certify_states, envelope_tangle, scan_points
 from memslab.measures import linear_entropy, measure_report, purity, tangle
 from memslab.sampling import (
     BLOCK,
@@ -23,7 +26,7 @@ from memslab.sampling import (
     splitmix64,
     wishart,
 )
-from memslab.states import OutOfRange, make_density, mems
+from memslab.states import OutOfRange, digest, make_density, mems
 
 
 class TestSpecValidation:
@@ -252,3 +255,63 @@ def test_wishart_matches_two_draw_reference(rank):
     for _ in range(200):
         g = ref.standard_normal((4, rank)) + 1j * ref.standard_normal((4, rank))
         assert np.array_equal(wishart(ours, rank), g @ g.conj().T)
+
+
+# several specs drawn as one stream: the perturb-mems layout of 19 two-state parts, parts
+# that end inside and cross a CHUNK, and parts of every kind
+MULTI_SPECS = {
+    "perturb-19x2": [EnsembleSpec(PerturbAbout(mems(round(0.05 * (i + 1), 2)), 0.02), 2,
+                                  seed=20260 ^ splitmix64(1 + i)) for i in range(19)],
+    "chunk-crossing": [EnsembleSpec(GinibreFull(), 1030, seed=5), EnsembleSpec(GinibreRank(3), 127, seed=6),
+                       EnsembleSpec(GinibreFull(), 1, seed=7)],
+    "mixed-kinds": [EnsembleSpec(GinibreRank(2), 200, seed=1), EnsembleSpec(PureMixture(3), 300, seed=2),
+                    EnsembleSpec(PerturbAbout(mems(0.7), 0.05), 130, seed=3),
+                    EnsembleSpec(GinibreFull(), 1100, seed=4), EnsembleSpec(PureMixture(6), 1, seed=5)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(MULTI_SPECS))
+class TestMultiSpecStream:
+    def test_equals_each_spec_stream_and_its_chunks(self, name):
+        specs = MULTI_SPECS[name]
+        merged = np.concatenate(list(sample_states(*specs)))
+        own = np.concatenate([mats for spec in specs for mats in sample_states(spec)])
+        chunks = np.concatenate([mats for spec in specs for i, n in enumerate(chunk_sizes(spec.count))
+                                 for mats in generate_chunk(spec, i, n)])
+        assert merged.tobytes() == own.tobytes()
+        assert merged.tobytes() == chunks.tobytes()
+
+    def test_full_blocks_then_the_rest(self, name):
+        total = sum(spec.count for spec in MULTI_SPECS[name])
+        full, rest = divmod(total, BLOCK)
+        assert [len(mats) for mats in sample_states(*MULTI_SPECS[name])] == [BLOCK] * full + [rest] * bool(rest)
+
+    def test_witnesses_match_a_state_by_state_loop(self, name):
+        stacks = list(sample_states(*MULTI_SPECS[name]))
+        states = [make_density(mat) for mats in stacks for mat in mats]
+        worst, witness = -math.inf, None
+        bins = {}  # bin index -> [max tangle, witness digest, count]
+        for state in states:
+            tau, s = tangle(state), min(max(linear_entropy(state), 0.0), 1.0)
+            violation = tau - envelope_tangle(MixednessMetric.LINEAR, s)
+            if violation > worst:
+                worst, witness = violation, state
+            slot = bins.setdefault(min(int(s * 20), 19), [tau, digest(state.mat), 0])
+            slot[2] += 1
+            if tau > slot[0]:
+                slot[0], slot[1] = tau, digest(state.mat)
+        report = certify_states(stacks, tolerance=1e-9)
+        assert (report.max_violation, report.samples_total) == (worst, len(states))
+        assert np.array_equal(report.violating_state.mat, witness.mat)
+        envelope = bin_maxima(scan_points(stacks, MixednessMetric.LINEAR), MixednessMetric.LINEAR, 20)
+        assert [(round(b.lo * 20), b.max_tangle, b.witness_digest, b.count) for b in envelope.bins] == \
+            [(idx, *slot) for idx, slot in sorted(bins.items())]
+
+
+def test_non_finite_noise_is_rejected_by_the_mix_check(monkeypatch, capsys):
+    monkeypatch.setattr(sampling, "_unit_trace", lambda wish: np.full_like(wish, np.nan))
+    with pytest.raises(ValueError, match="^matrix has non-finite entries$"):
+        next(sample_states(EnsembleSpec(PerturbAbout(mems(0.5), 0.05), 3, seed=1)))
+    assert cli.run(["certify", "--ensemble", "perturb-mems", "--count", "38"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: matrix has non-finite entries\n")
