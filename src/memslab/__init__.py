@@ -33,17 +33,15 @@ from .frontier import (
     scan,
     werner_curve,
 )
-from .linalg import HermEig, NotHermitian, NotPSD, hermitian_eig, psd_sqrt
+from .linalg import NotHermitian, NotPSD, hermitian_eig, psd_sqrt
 from .measures import (
     MeasureReport,
-    WoottersSpectrum,
     concurrence,
     eof,
     linear_entropy,
     measure_report,
     negativity,
     purity,
-    spin_flip,
     tangle,
     von_neumann_entropy,
     wootters_lambdas,

@@ -9,6 +9,7 @@ error, 3 certification FAIL.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Iterator
 
@@ -125,10 +126,9 @@ def _ensemble_states(args) -> Iterator[np.ndarray]:
 
 
 def _envelope_path(out: str) -> str:
-    stem, dot, ext = out.rpartition(".")
-    if not dot:
-        return out + "_envelope"
-    return f"{stem}_envelope.{ext}"
+    """The per-bin maxima file of ``scan --out``: "_envelope" before the extension, if any."""
+    stem, ext = os.path.splitext(out)
+    return f"{stem}_envelope{ext}"
 
 
 def _streamed_points(path: str, points: Iterator[frontier.ScanPoint]) -> Iterator[frontier.ScanPoint]:
@@ -161,17 +161,12 @@ def cmd_certify(args) -> int:
 
 
 def cmd_concentrate(args) -> int:
-    if not 0.0 <= args.gamma <= 1.0:
-        raise states.OutOfRange(f"gamma {args.gamma} outside [0, 1]")
     start = states.mems(args.gamma)
     kappas = filtering.kappa_schedule(args.steps)
     make = filtering.two_sided_filter if args.mode == "two-sided" else filtering.one_sided_filter
     schedule = [make(float(k)) for k in kappas]
-    points = filtering.trajectory(start, schedule)
-    rows = []
-    for point in points:
-        kappa = point.filter.a0  # both schedule shapes put kappa at a0
-        rows.append((kappa, point.tangle, point.s_linear, point.success_prob))
+    # both schedule shapes put kappa at a0
+    rows = [(p.filter.a0, p.tangle, p.s_linear, p.success_prob) for p in filtering.trajectory(start, schedule)]
     _write_csv(args.out, "kappa,tangle,linear_entropy,success_prob", rows)
     return 0
 
@@ -179,6 +174,11 @@ def cmd_concentrate(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="memslab", description=__doc__.strip().splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
+    sampled = argparse.ArgumentParser(add_help=False)  # the flags scan and certify share
+    sampled.add_argument("--count", type=int, required=True)
+    sampled.add_argument("--seed", type=int, default=0)
+    sampled.add_argument("--eps", type=float, default=0.02, help="perturbation size for perturb-mems")
+    sampled.add_argument("--mixture-size", type=int, default=4, help="component count for pure-mixture")
 
     p = sub.add_parser("measure", help="print every measure of one state as key=value lines")
     p.add_argument("matrix", nargs="?", help="path to a matrix file (4 lines of 4 're,im' entries)")
@@ -192,28 +192,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_curve)
 
-    p = sub.add_parser("scan", help="sample an ensemble; emit raw points and per-bin maxima")
+    p = sub.add_parser("scan", parents=[sampled], help="sample an ensemble; emit raw points and per-bin maxima")
     p.add_argument("--ensemble", default="ginibre",
                    choices=("ginibre", "ginibre-rank1", "ginibre-rank2", "ginibre-rank3",
                             "ginibre-rank4", "pure-mixture", "perturb-mems"))
-    p.add_argument("--count", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--bins", type=int, default=100)
     p.add_argument("--metric", choices=("linear", "vn"), default="linear")
-    p.add_argument("--eps", type=float, default=0.02, help="perturbation size for perturb-mems")
-    p.add_argument("--mixture-size", type=int, default=4, help="component count for pure-mixture")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_scan)
 
-    p = sub.add_parser("certify", help="search an ensemble for states beating the envelope")
+    p = sub.add_parser("certify", parents=[sampled], help="search an ensemble for states beating the envelope")
     p.add_argument("--ensemble", default="ginibre",
                    choices=("ginibre", "ginibre-rank1", "ginibre-rank2", "ginibre-rank3",
                             "ginibre-rank4", "pure-mixture", "perturb-mems", "mems"))
-    p.add_argument("--count", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tolerance", type=float, default=1e-9)
-    p.add_argument("--eps", type=float, default=0.02)
-    p.add_argument("--mixture-size", type=int, default=4)
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("concentrate", help="filtering trajectory from a boundary state, as CSV")
@@ -236,7 +228,7 @@ def run(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:  # OverflowError: an integer flag past float/index range
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -23,6 +23,7 @@ from .states import DensityMatrix, OutOfRange, make_density, validate_stack
 log = logging.getLogger(__name__)
 
 SUCCESS_FLOOR = 1e-14
+KAPPA_LO = 1e-3  # the last kappa of kappa_schedule
 # best_filter runs the tangle kernel only where the closed form comes within this of its maximum
 SCREEN_MARGIN = 1e-9
 
@@ -50,14 +51,6 @@ class LocalFilter:
         """The four diagonal entries of A (x) B in the computational basis."""
         return np.array([self.a0 * self.b0, self.a0 * self.b1,
                          self.a1 * self.b0, self.a1 * self.b1])
-
-    def compose(self, other: "LocalFilter") -> "LocalFilter":
-        """Entrywise product: applying ``self`` then ``other`` in one shot."""
-        return LocalFilter(self.a0 * other.a0, self.a1 * other.a1,
-                           self.b0 * other.b0, self.b1 * other.b1)
-
-
-IDENTITY_FILTER = LocalFilter(1.0, 1.0, 1.0, 1.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,15 +90,11 @@ def one_sided_filter(kappa: float) -> LocalFilter:
     return LocalFilter(kappa, 1.0, 1.0, 1.0)
 
 
-def kappa_schedule(steps: int, kappa_lo: float = 1e-3) -> np.ndarray:
-    """Geometric kappa sweep from 1 down to kappa_lo (the default schedule)."""
+def kappa_schedule(steps: int) -> np.ndarray:
+    """Geometric kappa sweep of ``steps`` values from 1 down to KAPPA_LO."""
     if steps < 1:
         raise OutOfRange(f"need at least 1 step, got {steps}")
-    if not 0.0 < kappa_lo <= 1.0:
-        raise OutOfRange(f"kappa_lo={kappa_lo} outside (0, 1]")
-    if steps == 1:
-        return np.array([1.0])
-    return np.geomspace(1.0, kappa_lo, steps)
+    return np.geomspace(1.0, KAPPA_LO, steps)
 
 
 def trajectory(start: DensityMatrix, schedule: list[LocalFilter]) -> list[TrajectoryPoint]:

@@ -30,6 +30,7 @@ from .states import DensityMatrix, OutOfRange, digest, make_density, mems_popula
 
 LN4 = math.log(4.0)
 WINDOW = 8  # hill_climb proposals whose tangles are computed as one stack
+EPS_HI, EPS_LO = 0.1, 1e-4  # hill_climb's proposal weight scale, first and last step
 
 S_BRANCH = 16.0 / 27.0  # linear entropy at the gamma = 2/3 branch point
 S_EDGE = 8.0 / 9.0      # largest linear entropy the boundary family reaches
@@ -53,11 +54,8 @@ def mems_curve(n: int) -> list[tuple[float, float, float]]:
     """n closed-form (gamma, tangle, linear_entropy) points, gamma uniform on [0, 1]."""
     if n < 2:
         raise OutOfRange(f"need at least 2 curve points, got {n}")
-    points = []
-    for i in range(n):
-        gamma = i / (n - 1)
-        points.append((gamma, gamma * gamma, mems_linear_entropy(gamma)))
-    return points
+    gammas = [i / (n - 1) for i in range(n)]
+    return [(gamma, gamma * gamma, mems_linear_entropy(gamma)) for gamma in gammas]
 
 
 def werner_curve(n: int) -> list[tuple[float, float, float]]:
@@ -234,14 +232,13 @@ def hill_climb(
     steps: int,
     rng: np.random.Generator,
     band: float = 1e-3,
-    eps_hi: float = 0.1,
-    eps_lo: float = 1e-4,
 ) -> DensityMatrix:
     """Greedy stochastic tangle ascent at (nearly) fixed mixedness.
 
-    Proposals are convex mixes (1 - w) rho + w sigma with w drawn from a
-    geometrically shrinking scale eps_hi -> eps_lo.  sigma alternates between
-    plain Ginibre draws of random rank and support-weighted draws
+    Proposals are convex mixes (1 - w) rho + w sigma with w uniform on
+    (0, eps], eps shrinking geometrically from EPS_HI at the first step to
+    EPS_LO at the last.  sigma alternates between plain Ginibre draws of
+    random rank and support-weighted draws
     sqrt(rho) W sqrt(rho) / Tr; the latter respect the current support, which
     is what makes ascent from rank-deficient starts possible at all (mixing
     toward generic full-rank noise can only dilute the concurrence).  A move
@@ -258,14 +255,12 @@ def hill_climb(
         raise OutOfRange(f"need at least 1 step, got {steps}")
     if not 0.0 < band < math.inf:
         raise OutOfRange(f"band={band} must be positive and finite")
-    if not 0.0 < eps_lo <= eps_hi <= 1.0:
-        raise OutOfRange(f"need 0 < eps_lo <= eps_hi <= 1, got eps_lo={eps_lo}, eps_hi={eps_hi}")
     anchor = _metric_value(metric, start.mat)
     current = start.mat
     current_tangle = tangle_of_mat(current)
     root = psd_sqrt(current)
-    ratio = (eps_lo / eps_hi) ** (1.0 / max(steps - 1, 1))
-    eps = eps_hi
+    ratio = (EPS_LO / EPS_HI) ** (1.0 / max(steps - 1, 1))
+    eps = EPS_HI
     drawn = 0
     ws, wishes, support_weighted = [], [], []  # the draws of the steps not yet evaluated
     while ws or drawn < steps:

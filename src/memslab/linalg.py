@@ -1,17 +1,16 @@
-"""Dense complex matrix kernel for the fixed sizes used everywhere here (2x2, 4x4).
+"""Dense complex matrix kernel for the 4x4 matrices used everywhere here.
 
 All operations are pure functions of their value arguments and are safe to
 call concurrently.  Tolerances live in this module so every consumer agrees
-on what "Hermitian" and "PSD" mean.
+on what "Hermitian" and "PSD" mean: herm_defect is the one Hermiticity
+measure, used by the eigensolver and by state validation alike.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-HERM_TOL = 1e-10    # relative Hermiticity tolerance for eigensolver inputs
+HERM_TOL = 1e-10    # bound on the Hermiticity defect ||a - a^dag||_F
 PSD_CLAMP = 1e-10   # eigenvalues in [-PSD_CLAMP, 0] count as zero
 
 
@@ -37,46 +36,27 @@ def as_cmat(entries) -> np.ndarray:
     return _reject_non_finite(mat)
 
 
-def _frobenius(mats: np.ndarray) -> np.ndarray:
-    mag = np.abs(mats)
-    return np.sqrt((mag * mag).sum(axis=(-2, -1)))
-
-
 def herm_defect(a: np.ndarray) -> np.ndarray:
-    """Relative departure from Hermiticity, ||a - a^dag||_F / max(1, ||a||_F).
-
-    One value per matrix of a (..., d, d) stack.
-    """
-    return _frobenius(a - a.conj().swapaxes(-1, -2)) / np.maximum(1.0, _frobenius(a))
+    """Hermiticity defect ||a - a^dag||_F, one value per matrix of a complex128 (..., d, d) stack."""
+    skew = np.ascontiguousarray(a - a.conj().swapaxes(-1, -2)).view(np.float64)
+    return np.sqrt(np.einsum("...ij,...ij->...", skew, skew))
 
 
-@dataclass(frozen=True)
-class HermEig:
-    """Spectral decomposition of a Hermitian matrix or of each matrix in a stack.
+def hermitian_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition (w, v) of a (..., 4, 4) stack of Hermitian matrices.
 
-    eigenvalues are real and ascending along the last axis; eigenvectors
-    holds the matching orthonormal eigenvectors as columns.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def hermitian_eig(h: np.ndarray) -> HermEig:
-    """Eigendecomposition of a (..., d, d) stack of Hermitian matrices, d in {2, 4}.
-
-    Eigenvalues are ascending.  Raises ValueError on non-finite entries and
-    NotHermitian if any matrix departs from Hermiticity by more than
-    HERM_TOL relative to its size.
+    w holds the real eigenvalues, ascending along the last axis, and v the
+    matching orthonormal eigenvectors as columns.  Raises ValueError on other
+    shapes or non-finite entries and NotHermitian if any matrix's
+    herm_defect exceeds HERM_TOL.
     """
     h = np.asarray(h, dtype=np.complex128)
-    if h.ndim < 2 or h.shape[-2:] not in ((2, 2), (4, 4)):
-        raise ValueError(f"expected a stack of 2x2 or 4x4 matrices, got shape {h.shape}")
+    if h.ndim < 2 or h.shape[-2:] != (4, 4):
+        raise ValueError(f"expected a stack of 4x4 matrices, got shape {h.shape}")
     defect = float(herm_defect(_reject_non_finite(h)).max(initial=0.0))
     if defect > HERM_TOL:
         raise NotHermitian(f"Hermiticity defect {defect:.3e} exceeds {HERM_TOL:.0e}")
-    w, v = np.linalg.eigh(h)
-    return HermEig(eigenvalues=w, eigenvectors=v)
+    return np.linalg.eigh(h)
 
 
 def psd_sqrt(h: np.ndarray) -> np.ndarray:
@@ -85,10 +65,9 @@ def psd_sqrt(h: np.ndarray) -> np.ndarray:
     Eigenvalues in [-PSD_CLAMP, 0] are treated as exact zeros; anything
     below -PSD_CLAMP in any matrix raises NotPSD.
     """
-    dec = hermitian_eig(h)
-    low = float(dec.eigenvalues.min(initial=0.0))  # initial: an empty stack passes
+    w, v = hermitian_eig(h)
+    low = float(w.min(initial=0.0))  # initial: an empty stack passes
     if low < -PSD_CLAMP:
         raise NotPSD(f"minimum eigenvalue {low:.3e} is below -{PSD_CLAMP:.0e}")
-    roots = np.sqrt(np.maximum(dec.eigenvalues, 0.0))
-    root = (dec.eigenvectors * roots[..., None, :]) @ dec.eigenvectors.conj().swapaxes(-1, -2)
+    root = (v * np.sqrt(np.maximum(w, 0.0))[..., None, :]) @ v.conj().swapaxes(-1, -2)
     return 0.5 * (root + root.conj().swapaxes(-1, -2))

@@ -26,13 +26,6 @@ _SPIN_FLIP_COMPLEX = SPIN_FLIP_MAT.astype(np.complex128)
 
 
 @dataclass(frozen=True)
-class WoottersSpectrum:
-    """The four spin-flip singular values, descending and non-negative."""
-
-    lambdas: np.ndarray
-
-
-@dataclass(frozen=True)
 class MeasureReport:
     """All measures of one state.
 
@@ -48,15 +41,6 @@ class MeasureReport:
     negativity: float
 
     FIELDS = ("purity", "linear_entropy", "von_neumann", "concurrence", "tangle", "eof", "negativity")
-
-
-def spin_flip(rho: DensityMatrix) -> np.ndarray:
-    """The spin-flipped matrix (sigma_y (x) sigma_y) rho* (sigma_y (x) sigma_y).
-
-    Complex conjugation is taken in the computational basis.  The result is
-    Hermitian PSD with the same spectrum as rho.
-    """
-    return SPIN_FLIP_MAT @ rho.mat.conj() @ SPIN_FLIP_MAT
 
 
 def _lambdas(mats: np.ndarray) -> np.ndarray:
@@ -75,11 +59,9 @@ def _concurrences(mats: np.ndarray) -> np.ndarray:
     return np.maximum(np.subtract.reduce(_lambdas(mats), axis=-1), 0.0)
 
 
-def wootters_lambdas(rho: DensityMatrix) -> WoottersSpectrum:
+def wootters_lambdas(rho: DensityMatrix) -> np.ndarray:
     """Spin-flip singular values lambda_1 >= ... >= lambda_4 >= 0."""
-    lam = _lambdas(rho.mat)
-    lam.flags.writeable = False
-    return WoottersSpectrum(lambdas=lam)
+    return _lambdas(rho.mat)
 
 
 def concurrence(rho: DensityMatrix) -> float:

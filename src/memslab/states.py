@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import HERM_TOL, PSD_CLAMP, NotHermitian, NotPSD, as_cmat
+from .linalg import HERM_TOL, PSD_CLAMP, NotHermitian, NotPSD, as_cmat, herm_defect
 
 TRACE_TOL = 1e-10
 NORM_TOL = 1e-12  # budget for the population/coherence sum of AnsatzParams
@@ -63,8 +63,7 @@ def validate_stack(raw) -> np.ndarray:
         first = int(np.argmin(np.isfinite(mats).all(axis=(1, 2))))
         validate_stack(mats[:first])  # an earlier matrix may fail another check
         raise ValueError("matrix has non-finite entries")
-    skew = (mats - mats.conj().swapaxes(1, 2)).view(np.float64)
-    defect = np.sqrt(np.einsum("nij,nij->n", skew, skew))  # Frobenius norm of rho - rho^dag
+    defect = herm_defect(mats)
     off = np.abs(np.einsum("nii->n", mats) - 1.0)
     low = np.linalg.eigvalsh(mats)[:, 0]
     bad = (defect > HERM_TOL) | (off > TRACE_TOL) | (low < -PSD_CLAMP)

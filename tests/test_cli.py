@@ -151,6 +151,22 @@ class TestScan:
         assert not out.exists()
         assert not (tmp_path / "bins_envelope.csv").exists()
 
+    @pytest.mark.parametrize("out, envelope", [
+        ("./cloud", "cloud_envelope"),
+        ("results.v2/cloud", "results.v2/cloud_envelope"),
+        ("results.v2/x.csv", "results.v2/x_envelope.csv"),
+        ("a.tar.gz", "a.tar_envelope.gz"),
+        (".hidden", ".hidden_envelope"),
+    ])
+    def test_envelope_file_name(self, tmp_path, monkeypatch, out, envelope):
+        # "_envelope" goes before the file name's own extension; a dot in a directory name is not one
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "results.v2").mkdir()
+        assert run_cli("scan", "--count", "200", "--seed", "1", "--bins", "10", "--out", out) == 0
+        written = {path.relative_to(tmp_path).as_posix() for path in tmp_path.rglob("*") if path.is_file()}
+        assert written == {os.path.normpath(out), envelope}
+        assert (tmp_path / envelope).read_text().startswith("bin_lo,bin_hi,max_tangle\n")
+
     def test_vn_metric(self, tmp_path):
         out = tmp_path / "vn.csv"
         assert run_cli("scan", "--ensemble", "ginibre", "--count", "200", "--seed", "1",
@@ -338,6 +354,22 @@ class TestConcentrate:
     def test_bad_gamma(self, tmp_path):
         assert run_cli("concentrate", "--gamma", "1.5", "--steps", "5",
                        "--out", str(tmp_path / "x.csv")) == 2
+
+
+HUGE = str(10**400)  # past float and index range: rejected before anything is allocated
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "--count", "10", "--bins", HUGE, "--out"],
+    ["scan", "--count", HUGE, "--out"],
+    ["certify", "--count", HUGE],
+    ["concentrate", "--gamma", "0.5", "--steps", HUGE, "--out"],
+], ids=["scan-bins", "scan-count", "certify-count", "concentrate-steps"])
+def test_oversized_integer_flag_is_a_usage_error(tmp_path, capsys, argv):
+    if argv[-1] == "--out":
+        argv = [*argv, str(tmp_path / "o.csv")]
+    assert run_cli(*argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def module_env() -> dict:

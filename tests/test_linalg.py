@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from memslab.linalg import HermEig, NotHermitian, NotPSD, as_cmat, hermitian_eig, psd_sqrt
+from conftest import random_state
+from memslab.linalg import HERM_TOL, NotHermitian, NotPSD, as_cmat, hermitian_eig, psd_sqrt
 from memslab.measures import SPIN_FLIP_MAT
+from memslab.states import maximally_mixed, validate_stack, werner
 
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 I4 = np.eye(4, dtype=complex)
@@ -35,8 +37,8 @@ def test_kron_spin_flip_antidiagonal():
 
 
 def test_hermitian_eig_diagonal():
-    dec = hermitian_eig(np.diag([4.0, 3.0, 2.0, 1.0]).astype(complex))
-    assert np.allclose(dec.eigenvalues, [1, 2, 3, 4], atol=1e-14)
+    w, _ = hermitian_eig(np.diag([4.0, 3.0, 2.0, 1.0]).astype(complex))
+    assert np.allclose(w, [1, 2, 3, 4], atol=1e-14)
 
 
 def test_hermitian_eig_werner_spectrum():
@@ -44,15 +46,15 @@ def test_hermitian_eig_werner_spectrum():
     g = 0.62
     phi = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
     mat = (1 - g) / 4 * I4 + g * np.outer(phi, phi)
-    dec = hermitian_eig(mat)
+    w, _ = hermitian_eig(mat)
     expected = np.array([(1 - g) / 4] * 3 + [(1 + 3 * g) / 4])
-    assert np.allclose(dec.eigenvalues, expected, atol=1e-12)
+    assert np.allclose(w, expected, atol=1e-12)
 
 
 def test_hermitian_eig_projector():
     phi = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
-    dec = hermitian_eig(np.outer(phi, phi))
-    assert np.allclose(dec.eigenvalues, [0, 0, 0, 1], atol=1e-12)
+    w, _ = hermitian_eig(np.outer(phi, phi))
+    assert np.allclose(w, [0, 0, 0, 1], atol=1e-12)
 
 
 def test_hermitian_eig_rejects_non_hermitian():
@@ -67,9 +69,8 @@ def test_hermitian_eig_rejects_non_hermitian():
 def test_hermitian_eig_invariants(seed):
     rng = np.random.default_rng(seed)
     h = random_hermitian(rng)
-    dec = hermitian_eig(h)
+    w, v = hermitian_eig(h)
     scale = max(1.0, np.linalg.norm(h))
-    v, w = dec.eigenvectors, dec.eigenvalues
     assert np.all(np.diff(w) >= 0)
     assert np.linalg.norm(v @ np.diag(w) @ v.conj().T - h) <= 1e-12 * scale
     assert np.linalg.norm(v.conj().T @ v - I4) <= 1e-12
@@ -118,20 +119,6 @@ def test_as_cmat_rejects_non_finite():
         as_cmat(bad)
 
 
-def test_hermeig_is_dataclass():
-    dec = hermitian_eig(I4)
-    assert isinstance(dec, HermEig)
-
-
-def test_kernel_supports_2x2():
-    h = np.array([[1.0, 0.5j], [-0.5j, 2.0]])
-    dec = hermitian_eig(h)
-    assert np.linalg.norm(dec.eigenvectors @ np.diag(dec.eigenvalues)
-                          @ dec.eigenvectors.conj().T - h) <= 1e-12
-    r = psd_sqrt(np.diag([4.0, 9.0]).astype(complex))
-    assert np.allclose(r, np.diag([2.0, 3.0]), atol=1e-14)
-
-
 def test_psd_sqrt_rejects_non_hermitian():
     bad = np.zeros((4, 4), dtype=complex)
     bad[0, 1] = 1.0
@@ -139,17 +126,16 @@ def test_psd_sqrt_rejects_non_hermitian():
         psd_sqrt(bad)
 
 
-@pytest.mark.parametrize("n", [2, 4])
-def test_stacked_kernels_match_per_matrix(n):
+def test_stacked_kernels_match_per_matrix():
     rng = np.random.default_rng(5)
-    a = rng.standard_normal((3, 5, n, n)) + 1j * rng.standard_normal((3, 5, n, n))
+    a = rng.standard_normal((3, 5, 4, 4)) + 1j * rng.standard_normal((3, 5, 4, 4))
     stack = a @ a.conj().swapaxes(-1, -2)
-    stack[0, 0] = np.diag(np.arange(n, dtype=float))  # exact zero eigenvalue
-    dec, roots = hermitian_eig(stack), psd_sqrt(stack)
+    stack[0, 0] = np.diag(np.arange(4, dtype=float))  # exact zero eigenvalue
+    (w, v), roots = hermitian_eig(stack), psd_sqrt(stack)
     for idx in np.ndindex(3, 5):
-        single = hermitian_eig(stack[idx])
-        assert np.array_equal(dec.eigenvalues[idx], single.eigenvalues)
-        assert np.array_equal(dec.eigenvectors[idx], single.eigenvectors)
+        single_w, single_v = hermitian_eig(stack[idx])
+        assert np.array_equal(w[idx], single_w)
+        assert np.array_equal(v[idx], single_v)
         assert np.array_equal(roots[idx], psd_sqrt(stack[idx]))
 
 
@@ -182,7 +168,35 @@ def test_stack_with_one_bad_matrix_rejected(kernel, bad, error):
         kernel(stack)
 
 
-@pytest.mark.parametrize("shape", [(4,), (3, 3), (2, 4, 4, 2), (4, 2)])
+@pytest.mark.parametrize("shape", [(4,), (3, 3), (2, 4, 4, 2), (4, 2), (5, 2, 2)])
 def test_kernel_rejects_non_square_stacks(shape):
     with pytest.raises(ValueError):
         hermitian_eig(np.zeros(shape, dtype=complex))
+
+
+def rejects_as_not_hermitian(check, mat) -> bool:
+    try:
+        check(mat)
+    except NotHermitian:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("factor", [0.5, 0.99, 1.01, 2.0])
+def test_validation_and_kernel_share_one_hermiticity_test(factor):
+    # rho + K with K anti-Hermitian: ||(rho + K) - (rho + K)^dag||_F = ||2K||_F = 2 sqrt(2) delta
+    delta = factor * HERM_TOL / (2.0 * np.sqrt(2.0))
+    skew = np.zeros((4, 4))
+    skew[0, 1], skew[1, 0] = delta, -delta
+    for state in (maximally_mixed(), werner(0.5), random_state(3)):
+        mat = state.mat + skew
+        in_validation = rejects_as_not_hermitian(lambda m: validate_stack(m[None]), mat)
+        assert in_validation == rejects_as_not_hermitian(psd_sqrt, mat) == (factor > 1.0)
+
+
+def test_kernels_and_validation_take_any_memory_layout():
+    mats = np.stack([maximally_mixed().mat, werner(0.5).mat, random_state(3).mat])
+    strided = np.ascontiguousarray(mats.transpose(1, 2, 0)).transpose(2, 0, 1)  # equal to mats, no contiguous axis
+    assert np.array_equal(strided, mats) and not strided.flags.c_contiguous
+    assert np.array_equal(validate_stack(strided), mats)
+    assert np.array_equal(psd_sqrt(strided), psd_sqrt(mats))

@@ -19,7 +19,6 @@ from memslab.measures import (
     negativity,
     partial_transpose,
     purity,
-    spin_flip,
     tangle,
     tangle_batch,
     tangle_of_mat,
@@ -29,7 +28,6 @@ from memslab.measures import (
 from memslab.states import (
     AnsatzParams,
     BellKind,
-    DensityMatrix,
     ansatz,
     bell,
     make_density,
@@ -67,54 +65,32 @@ class TestSpinFlip:
         assert np.array_equal(SPIN_FLIP_MAT, expected)
         assert np.array_equal(SPIN_FLIP_MAT @ SPIN_FLIP_MAT, np.eye(4))
 
-    def test_bell_invariant(self):
-        state = bell(BellKind.PHI_PLUS)
-        assert np.allclose(spin_flip(state), state.mat, atol=1e-15)
-
-    def test_maximally_mixed_invariant(self):
-        state = maximally_mixed()
-        assert np.allclose(spin_flip(state), state.mat, atol=0)
-
-    @given(seeds)
-    @settings(max_examples=40, deadline=None)
-    def test_involution(self, seed):
-        state = random_state(seed)
-        flipped = make_density(spin_flip(state))
-        assert np.allclose(spin_flip(flipped), state.mat, atol=1e-14)
-
-    @given(seeds)
-    @settings(max_examples=40, deadline=None)
-    def test_same_spectrum(self, seed):
-        state = random_state(seed)
-        assert np.allclose(np.linalg.eigvalsh(spin_flip(state)),
-                           np.linalg.eigvalsh(state.mat), atol=1e-12)
-
 
 class TestWoottersLambdas:
     def test_bell(self):
-        lam = wootters_lambdas(bell(BellKind.PHI_PLUS)).lambdas
+        lam = wootters_lambdas(bell(BellKind.PHI_PLUS))
         assert np.allclose(lam, [1, 0, 0, 0], atol=1e-12)
 
     def test_maximally_mixed(self):
-        lam = wootters_lambdas(maximally_mixed()).lambdas
+        lam = wootters_lambdas(maximally_mixed())
         assert np.allclose(lam, [0.25] * 4, atol=1e-14)
 
     def test_werner_difference_identity(self):
         for gamma in np.linspace(0, 1, 21):
-            lam = wootters_lambdas(werner(gamma)).lambdas
+            lam = wootters_lambdas(werner(gamma))
             assert lam[0] - lam[1] - lam[2] - lam[3] == pytest.approx((3 * gamma - 1) / 2, abs=1e-12)
 
     @given(seeds)
     @settings(max_examples=60, deadline=None)
     def test_matches_brute_force_oracle(self, seed):
         state = random_state(seed)
-        assert np.allclose(wootters_lambdas(state).lambdas, brute_force_lambdas(state), atol=1e-8)
+        assert np.allclose(wootters_lambdas(state), brute_force_lambdas(state), atol=1e-8)
 
     @given(seeds)
     @settings(max_examples=40, deadline=None)
     def test_descending_nonnegative_and_sum_rule(self, seed):
         state = random_state(seed)
-        lam = wootters_lambdas(state).lambdas
+        lam = wootters_lambdas(state)
         assert np.all(np.diff(lam) <= 0) and lam[3] >= 0
         tilde = SPIN_FLIP_MAT @ state.mat.conj() @ SPIN_FLIP_MAT
         assert (lam ** 2).sum() == pytest.approx(np.trace(state.mat @ tilde).real, abs=1e-10)
@@ -123,7 +99,7 @@ class TestWoottersLambdas:
     @settings(max_examples=40, deadline=None)
     def test_pure_states_have_single_lambda(self, seed):
         state = random_state(seed, rank=1)
-        lam = wootters_lambdas(state).lambdas
+        lam = wootters_lambdas(state)
         assert np.all(lam[1:] <= 1e-8)
 
 
@@ -311,8 +287,3 @@ def test_tangle_batch_rejects_a_non_state_in_the_stack(bad, error):
 def test_report_fields_tuple():
     assert MeasureReport.FIELDS == ("purity", "linear_entropy", "von_neumann",
                                     "concurrence", "tangle", "eof", "negativity")
-
-
-def test_spin_flip_returns_plain_matrix():
-    out = spin_flip(maximally_mixed())
-    assert isinstance(out, np.ndarray) and not isinstance(out, DensityMatrix)
