@@ -115,6 +115,8 @@ def _ensemble_states(args) -> Iterator[np.ndarray]:
     """
     if args.count < 1:
         raise states.OutOfRange(f"--count {args.count} must be at least 1")
+    if args.count > sampling.CHUNK << 64:  # chunk keys are 64-bit: past this the stream repeats
+        raise states.OutOfRange(f"--count {args.count} exceeds 2^64 chunks of {sampling.CHUNK}")
     if not 0 <= args.seed < 1 << 64:
         raise states.OutOfRange(f"--seed {args.seed} outside [0, 2^64)")
     if args.ensemble == "mems":

@@ -24,8 +24,7 @@ log = logging.getLogger(__name__)
 
 SUCCESS_FLOOR = 1e-14
 KAPPA_LO = 1e-3  # the last kappa of kappa_schedule
-# best_filter runs the tangle kernel only where the closed form comes within this of its maximum
-SCREEN_MARGIN = 1e-9
+TIE_RTOL = 1e-13  # best_filter: grid tangles within this (relative) of the largest are tied
 
 
 class VanishingSuccess(ValueError):
@@ -67,17 +66,26 @@ class TrajectoryPoint:
     success_prob: float
 
 
+def _success(rho: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Success probability sum_i d_i^2 rho_ii of each diagonal filter d[..., :]."""
+    return (d * d * rho.real.diagonal()).sum(axis=-1)
+
+
+def _filtered(rho: np.ndarray, d: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """(D rho D) / p for each diagonal filter d[..., :] and its success probability p[...]."""
+    return (d[..., :, None] * rho) * d[..., None, :] / p[..., None, None]
+
+
 def apply_filter(rho: DensityMatrix, f: LocalFilter) -> FilterOutcome:
     """Filtered state (A (x) B) rho (A (x) B)^dag / p and its success probability.
 
     Raises VanishingSuccess when p falls at or below the numerical floor.
     """
     d = f.diagonal()
-    p = float((d * d * rho.mat.real.diagonal()).sum())
+    p = _success(rho.mat, d)
     if p <= SUCCESS_FLOOR:
         raise VanishingSuccess(f"success probability {p:.3e} at or below {SUCCESS_FLOOR:.0e}")
-    filtered = (d[:, None] * rho.mat) * d[None, :]
-    return FilterOutcome(state=make_density(filtered / p), success_prob=p)
+    return FilterOutcome(state=make_density(_filtered(rho.mat, d, p)), success_prob=float(p))
 
 
 def two_sided_filter(kappa: float) -> LocalFilter:
@@ -109,37 +117,32 @@ def trajectory(start: DensityMatrix, schedule: list[LocalFilter]) -> list[Trajec
     if not schedule:
         raise OutOfRange("filter schedule is empty")
     d = np.array([f.diagonal() for f in schedule])
-    p = (d * d * start.mat.real.diagonal()).sum(axis=1)  # apply_filter's sum, one row per filter
+    p = _success(start.mat, d)
     kept = np.flatnonzero(p > SUCCESS_FLOOR)
     if kept.size < len(schedule):
         log.debug("skipping %d filters with success probability at or below %.0e",
                   len(schedule) - kept.size, SUCCESS_FLOOR)
-    mats = validate_stack((d[kept, :, None] * start.mat) * d[kept, None, :] / p[kept, None, None])
+    mats = validate_stack(_filtered(start.mat, d[kept], p[kept]))
     return [TrajectoryPoint(filter=schedule[k], s_linear=linear_entropy_of_mat(mat), tangle=tau,
                             success_prob=float(p[k]))
             for k, mat, tau in zip(kept.tolist(), mats, tangle_batch(mats).tolist())]
 
 
 def best_filter(start: DensityMatrix, grid_resolution: int) -> tuple[LocalFilter, FilterOutcome]:
-    """Exhaustive search over the (a0, a1, b0, b1) grid {1/g, ..., 1}^4.
-
-    Maximizes the filtered tangle; exact ties fall back to higher success
-    probability, then to the lexicographically first grid point, so the
-    winner is deterministic.
+    """Exhaustive search over the (a0, a1, b0, b1) grid {1/g, ..., 1}^4 for the largest filtered tangle.
 
     A local filter A (x) B scales the unnormalized concurrence by
     |det A det B| (Kent, Linden & Massar 1999; Verstraete, Dehaene & De Moor
     2001), so every grid point's tangle has the closed form
-    tau(rho) (a0 a1 b0 b1 / p)^2 from one kernel call on the start.  The
-    closed form only screens: the spin-flip kernel still decides, run on the
-    "near" points whose closed form lies within SCREEN_MARGIN of the largest.
-    The closed form and the kernel agree to a few 1e-15, far inside the
-    margin, so every point the kernel ranks first, ties included, is near and
-    the winner is the one the kernel would pick over the whole grid.  A
-    separable start makes every point near.  Every kept filtered state is
-    still validated, in blocks of at most 4096, so a start built without
-    make_density raises NotHermitian or NotPSD even where only filters far
-    from the maximum push its defect past tolerance.
+    tau(rho) (a0 a1 b0 b1 / p)^2 from one kernel call on the start.  Points
+    whose closed form lies within TIE_RTOL (relative) of the largest are
+    tied, as filters that differ by an overall scale give the same state;
+    ties go to the largest success probability p (apply_filter's, which the
+    winner's outcome reports), then to the lexicographically first grid
+    point.  Every kept filtered state is still validated, in blocks of at
+    most 4096, so a start built without make_density raises NotHermitian or
+    NotPSD even where only filters far from the maximum push its defect past
+    tolerance.
     """
     if grid_resolution < 2:
         raise OutOfRange(f"grid resolution {grid_resolution} must be >= 2")
@@ -148,23 +151,16 @@ def best_filter(start: DensityMatrix, grid_resolution: int) -> tuple[LocalFilter
     grids = np.stack(np.meshgrid(values, values, values, values, indexing="ij"), axis=-1).reshape(-1, 4)
     d = np.stack([grids[:, 0] * grids[:, 2], grids[:, 0] * grids[:, 3],
                   grids[:, 1] * grids[:, 2], grids[:, 1] * grids[:, 3]], axis=1)
-    p = (d * d) @ start.mat.real.diagonal()
+    p = _success(start.mat, d)
     kept = np.flatnonzero(p > SUCCESS_FLOOR)
     if kept.size == 0:
         raise VanishingSuccess("every grid filter has vanishing success probability")
-    closed = tangle_of_mat(start.mat) * (grids[kept].prod(axis=1) / p[kept]) ** 2
-    near = closed >= closed.max() - SCREEN_MARGIN
-
     block = 4096
-    taus = []
     for lo in range(0, kept.size, block):
         idx = kept[lo:lo + block]
-        mats = validate_stack((d[idx, :, None] * start.mat) * d[idx, None, :] / p[idx, None, None])
-        taus.append(tangle_batch(mats[near[lo:lo + block]]))
-    taus = np.concatenate(taus)
-    # lexicographic argmax over the near points: largest tangle, then largest success, then lowest index
-    top = kept[near][taus == taus.max()]
-    top = top[p[top] == p[top].max()]
-    a0, a1, b0, b1 = grids[top[0]]
+        validate_stack(_filtered(start.mat, d[idx], p[idx]))
+    taus = tangle_of_mat(start.mat) * (grids[kept].prod(axis=1) / p[kept]) ** 2
+    top = kept[taus >= taus.max() * (1 - TIE_RTOL)]
+    a0, a1, b0, b1 = grids[top[np.argmax(p[top])]]  # argmax takes the first of equal p
     winner = LocalFilter(float(a0), float(a1), float(b0), float(b1))
     return winner, apply_filter(start, winner)

@@ -168,7 +168,7 @@ def bin_maxima(points: Iterable[ScanPoint], metric: MixednessMetric, bins: int) 
     ``bins`` is checked before the first point is read.  A bin's witness is
     the first point to reach its maximum; no other state is kept.
     """
-    if bins < 10:
+    if float(bins) < 10:  # float() raises OverflowError here, not at the first point's mix * bins
         raise OutOfRange(f"need at least 10 bins, got {bins}")
     occupied: dict[int, list] = {}  # bin index -> [max tangle, witness matrix, count]
     total = 0

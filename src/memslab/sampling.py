@@ -175,9 +175,9 @@ def perturb_about(base: DensityMatrix, eps: float, rng: np.random.Generator) -> 
     return make_density(_draw(PerturbAbout(base, eps), rng, 1)[0])
 
 
-def chunk_sizes(count: int) -> list[int]:
-    full, rest = divmod(count, CHUNK)
-    return [CHUNK] * full + ([rest] if rest else [])
+def chunk_sizes(count: int) -> Iterator[int]:
+    """The sizes of the chunks of a ``count``-state stream, made as they are read."""
+    return (min(CHUNK, count - start) for start in range(0, count, CHUNK))
 
 
 def _validated(pieces: list[np.ndarray]) -> np.ndarray:

@@ -8,7 +8,7 @@ import pytest
 
 import memslab
 from memslab import cli, frontier
-from memslab.sampling import EnsembleSpec, GinibreRank
+from memslab.sampling import CHUNK, EnsembleSpec, GinibreRank
 from memslab.states import digest, maximally_mixed, write_matrix_file
 
 
@@ -357,6 +357,7 @@ class TestConcentrate:
 
 
 HUGE = str(10**400)  # past float and index range: rejected before anything is allocated
+PAST_KEYS = str((CHUNK << 64) + 1)  # more than 2^64 chunks: the 64-bit chunk keys would repeat
 
 
 @pytest.mark.parametrize("argv", [
@@ -364,12 +365,15 @@ HUGE = str(10**400)  # past float and index range: rejected before anything is a
     ["scan", "--count", HUGE, "--out"],
     ["certify", "--count", HUGE],
     ["concentrate", "--gamma", "0.5", "--steps", HUGE, "--out"],
-], ids=["scan-bins", "scan-count", "certify-count", "concentrate-steps"])
+    ["scan", "--count", PAST_KEYS, "--out"],
+    ["certify", "--count", PAST_KEYS],
+], ids=["scan-bins", "scan-count", "certify-count", "concentrate-steps", "scan-count-keys", "certify-count-keys"])
 def test_oversized_integer_flag_is_a_usage_error(tmp_path, capsys, argv):
     if argv[-1] == "--out":
         argv = [*argv, str(tmp_path / "o.csv")]
     assert run_cli(*argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
+    assert not any(tmp_path.iterdir())  # not even the --out header line
 
 
 def module_env() -> dict:

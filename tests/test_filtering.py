@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import random_state
 from memslab.filtering import (
-    SCREEN_MARGIN,
+    TIE_RTOL,
     FilterOutcome,
     LocalFilter,
     VanishingSuccess,
@@ -220,20 +220,23 @@ class TestBestFilter:
 
 
 def sequential_best_filter(start, g):
-    """Reference reduce: one grid point at a time, keeping the first strict improvement.
+    """Reference reduce: the spin-flip kernel's tangle at every grid point, then one point at a time.
 
-    Points are visited in lexicographic (a0, a1, b0, b1) order; a point wins
-    on larger tangle, or on equal tangle and larger success probability.
+    Every point whose tangle lies within TIE_RTOL (relative) of the largest
+    is tied.  Tied points are visited in lexicographic (a0, a1, b0, b1)
+    order, and one wins only on a strictly larger success probability (the
+    sum of d_i^2 rho_ii, as apply_filter reports it).
     """
     values = np.arange(1, g + 1) / g
     points = list(itertools.product(values, repeat=4))
     d = np.array([LocalFilter(*q).diagonal() for q in points])
-    probs = (d * d) @ start.mat.real.diagonal()
+    probs = (d * d * start.mat.real.diagonal()).sum(axis=1)
     taus = tangle_batch(d[:, :, None] * start.mat * d[:, None, :] / probs[:, None, None])
+    cutoff = taus.max() * (1 - TIE_RTOL)
     best = None
     for q, tau, prob in zip(points, taus, probs):
-        if best is None or tau > best[1] or (tau == best[1] and prob > best[2]):
-            best = (q, tau, prob)
+        if tau >= cutoff and (best is None or prob > best[1]):
+            best = (q, prob)
     return LocalFilter(*best[0])
 
 
@@ -265,7 +268,14 @@ def test_best_filter_matches_sequential_reduce(start, g):
     assert outcome.success_prob == reference.success_prob
 
 
-IDENTITY_TOL = 1e-12  # best_filter's screen is exact while twice this stays below SCREEN_MARGIN
+def test_best_filter_breaks_scale_ties_toward_success():
+    # (0.75, 0.75, 1, 1) is the identity scaled by 0.75: the same state at success 0.5625
+    winner, outcome = best_filter(werner(0.7), 4)
+    assert winner == NO_FILTER
+    assert outcome.success_prob == 1.0
+
+
+IDENTITY_TOL = 1e-12
 IDENTITY_STARTS = {
     **{f"ginibre-rank{rank}": random_state(20 + rank, rank) for rank in (1, 2, 3, 4)},
     "mems(0.005)": mems(0.005),
@@ -278,8 +288,7 @@ IDENTITY_STARTS = {
 
 @pytest.mark.parametrize("start", sorted(IDENTITY_STARTS))
 def test_filtered_tangle_determinant_identity(start):
-    """tau(D rho D / p) = tau(rho) (a0 a1 b0 b1 / p)^2 for grid filters, as best_filter's screen assumes."""
-    assert 2 * IDENTITY_TOL < SCREEN_MARGIN
+    """tau(D rho D / p) = tau(rho) (a0 a1 b0 b1 / p)^2 for grid filters, as best_filter assumes."""
     state = IDENTITY_STARTS[start]
     tau = tangle(state)
     rng = np.random.default_rng(7)
@@ -289,6 +298,34 @@ def test_filtered_tangle_determinant_identity(start):
         outcome = apply_filter(state, f)
         closed = tau * (f.a0 * f.a1 * f.b0 * f.b1 / outcome.success_prob) ** 2
         assert abs(tangle(outcome.state) - closed) <= IDENTITY_TOL, f
+
+
+def x_state_tangle(r):
+    """Tangle of an X state (zero off the diagonal and anti-diagonal) from its entries alone."""
+    c = 2 * max(0.0, abs(r[0, 3]) - np.sqrt(r[1, 1].real * r[2, 2].real),
+                abs(r[1, 2]) - np.sqrt(r[0, 0].real * r[3, 3].real))
+    return c * c
+
+
+X_STARTS = {**{f"mems({gamma})": mems(gamma) for gamma in (0.005, 0.3, 0.6, 0.9)},
+            **{f"werner({gamma})": werner(gamma) for gamma in (0.34, 0.5, 0.7, 0.95)}}
+
+
+@pytest.mark.parametrize("g", [2, 3, 4, 6])
+@pytest.mark.parametrize("start", sorted(X_STARTS))
+def test_best_filter_matches_x_state_oracle(start, g):
+    """Diagonal filters keep the X form: the closed form and the winner are checked without the kernel."""
+    state = X_STARTS[start]
+    tau = x_state_tangle(state.mat)
+    values = np.arange(1, g + 1) / g
+    grid_max = 0.0
+    for q in itertools.product(values, repeat=4):
+        outcome = apply_filter(state, LocalFilter(*q))
+        filtered = x_state_tangle(outcome.state.mat)
+        assert abs(filtered - tau * (np.prod(q) / outcome.success_prob) ** 2) <= IDENTITY_TOL, q
+        grid_max = max(grid_max, filtered)
+    _, outcome = best_filter(state, g)
+    assert abs(x_state_tangle(outcome.state.mat) - grid_max) <= IDENTITY_TOL
 
 
 def unchecked_start(kind):

@@ -150,6 +150,11 @@ class TestSampleBatch:
         sizes = [len(mats) for mats in sample_states(spec)]
         assert sizes == [BLOCK] * (2 * CHUNK // BLOCK) + [17]
 
+    def test_huge_count_streams_lazily(self):
+        # 2^52 chunks: a list of their sizes could not be allocated
+        first = next(sample_states(EnsembleSpec(GinibreFull(), CHUNK << 52, seed=1)))
+        assert first.tobytes() == next(sample_states(EnsembleSpec(GinibreFull(), BLOCK, seed=1))).tobytes()
+
     def test_identical_sequences_across_runs(self):
         spec = EnsembleSpec(GinibreRank(2), 300, seed=8)
         assert _fingerprint(spec) == _fingerprint(spec)
