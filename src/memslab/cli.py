@@ -133,22 +133,22 @@ def _envelope_path(out: str) -> str:
     return f"{stem}_envelope{ext}"
 
 
-def _streamed_points(path: str, points: Iterator[frontier.ScanPoint]) -> Iterator[frontier.ScanPoint]:
-    """Pass scan points through, writing their tangle,mixedness rows to ``path``.
+def _streamed_points(path: str, stacks: Iterator[frontier.ScanStack]) -> Iterator[frontier.ScanStack]:
+    """Pass scan stacks through, writing each one's tangle,mixedness rows ("%.12g" is fmt) to ``path``.
 
-    The file is created when the first point is requested.
+    The file is created when the first stack is requested.
     """
     with open(path, "w", encoding="ascii", newline="\n") as handle:
         handle.write("tangle,mixedness\n")
-        for point in points:
-            handle.write(f"{fmt(point[0])},{fmt(point[1])}\n")
-            yield point
+        for stack in stacks:
+            handle.write("".join(["%.12g,%.12g\n" % row for row in zip(stack[0].tolist(), stack[1].tolist())]))
+            yield stack
 
 
 def cmd_scan(args) -> int:
     metric = frontier.MixednessMetric(args.metric)
-    points = frontier.scan_points(_ensemble_states(args), metric)
-    envelope = frontier.bin_maxima(_streamed_points(args.out, points), metric, args.bins)
+    stacks = frontier.scan_points(_ensemble_states(args), metric)
+    envelope = frontier.bin_maxima(_streamed_points(args.out, stacks), metric, args.bins)
     _write_csv(_envelope_path(args.out), "bin_lo,bin_hi,max_tangle",
                ((stat.lo, stat.hi, stat.max_tangle) for stat in envelope.bins))
     return 0

@@ -24,7 +24,8 @@ from typing import Iterable, Iterator, Optional
 import numpy as np
 
 from .linalg import psd_sqrt
-from .measures import linear_entropy_of_mat, tangle_batch, tangle_of_mat, von_neumann_entropy
+from .measures import linear_entropy_of_mat, tangle_batch, tangle_of_mat, von_neumann_batch
+from .measures import von_neumann_entropy  # not called here: bench/spans.py binds frontier.von_neumann_entropy
 from .sampling import EnsembleSpec, sample_states, wishart
 from .states import DensityMatrix, OutOfRange, digest, make_density, mems_population, werner
 
@@ -50,28 +51,30 @@ def mems_linear_entropy(gamma: float) -> float:
     return (2.0 / 3.0) * (4.0 * g * (2.0 - 3.0 * g) - gamma * gamma)
 
 
-def mems_curve(n: int) -> list[tuple[float, float, float]]:
-    """n closed-form (gamma, tangle, linear_entropy) points, gamma uniform on [0, 1]."""
-    if n < 2:
+def _curve_gammas(n: int) -> Iterator[float]:
+    """n gammas uniform on [0, 1], yielded lazily; n is checked now."""
+    if float(n) < 2:  # float() raises OverflowError for an n past float range
         raise OutOfRange(f"need at least 2 curve points, got {n}")
-    gammas = [i / (n - 1) for i in range(n)]
-    return [(gamma, gamma * gamma, mems_linear_entropy(gamma)) for gamma in gammas]
+    return (i / (n - 1) for i in range(n))
 
 
-def werner_curve(n: int) -> list[tuple[float, float, float]]:
+def mems_curve(n: int) -> Iterator[tuple[float, float, float]]:
+    """n closed-form (gamma, tangle, linear_entropy) points, gamma uniform on [0, 1]."""
+    return ((gamma, gamma * gamma, mems_linear_entropy(gamma)) for gamma in _curve_gammas(n))
+
+
+def _werner_point(gamma: float) -> tuple[float, float, float]:
+    mat = werner(gamma).mat
+    return gamma, tangle_of_mat(mat), linear_entropy_of_mat(mat)
+
+
+def werner_curve(n: int) -> Iterator[tuple[float, float, float]]:
     """n measured (gamma, tangle, linear_entropy) points for the Werner family.
 
     Points are produced by constructing each state and measuring it, so this
     doubles as an end-to-end check of the measure pipeline.
     """
-    if n < 2:
-        raise OutOfRange(f"need at least 2 curve points, got {n}")
-    points = []
-    for i in range(n):
-        gamma = i / (n - 1)
-        mat = werner(gamma).mat
-        points.append((gamma, tangle_of_mat(mat), linear_entropy_of_mat(mat)))
-    return points
+    return map(_werner_point, _curve_gammas(n))
 
 
 def envelope_tangle(metric: MixednessMetric, s: float) -> float:
@@ -138,50 +141,45 @@ class CertificationReport:
         return "PASS" if self.passed else "FAIL"
 
 
-def _metric_value(metric: MixednessMetric, mat: np.ndarray) -> float:
+def _mixedness(metric: MixednessMetric, mats: np.ndarray) -> np.ndarray:
+    """The mixedness of each matrix of a validated (n, 4, 4) stack, not clipped."""
     if metric is MixednessMetric.LINEAR:
-        return linear_entropy_of_mat(mat)
-    return von_neumann_entropy(DensityMatrix(mat)) / LN4
+        # one state at a time: a stacked purity differs from np.vdot's in the last bits
+        return np.fromiter(map(linear_entropy_of_mat, mats), dtype=np.float64, count=len(mats))
+    return von_neumann_batch(mats) / LN4
 
 
-def _metric_values(metric: MixednessMetric, mats: np.ndarray) -> np.ndarray:
-    # one state at a time: a stacked purity differs from np.vdot's in the last bits
-    return np.fromiter((_metric_value(metric, mat) for mat in mats), dtype=np.float64, count=len(mats))
+ScanStack = tuple[np.ndarray, np.ndarray, np.ndarray]  # (tangles, mixedness, states); mixedness not clipped
 
 
-def _clip01(x: float) -> float:
-    return 0.0 if x < 0.0 else (1.0 if x > 1.0 else x)
-
-
-ScanPoint = tuple[float, float, np.ndarray]  # (tangle, mixedness, state matrix); mixedness not clipped
-
-
-def scan_points(stacks: Iterable[np.ndarray], metric: MixednessMetric) -> Iterator[ScanPoint]:
-    """The scan point of each state of validated (n, 4, 4) stacks, in order."""
+def scan_points(stacks: Iterable[np.ndarray], metric: MixednessMetric) -> Iterator[ScanStack]:
+    """The tangles and mixedness of validated (n, 4, 4) stacks, one triple per stack, in order."""
     for mats in stacks:
-        yield from zip(tangle_batch(mats).tolist(), _metric_values(metric, mats).tolist(), mats)
+        yield tangle_batch(mats), _mixedness(metric, mats), mats
 
 
-def bin_maxima(points: Iterable[ScanPoint], metric: MixednessMetric, bins: int) -> FrontierEnvelope:
-    """Per-bin tangle maxima of scan points.
+def bin_maxima(stacks: Iterable[ScanStack], metric: MixednessMetric, bins: int) -> FrontierEnvelope:
+    """Per-bin tangle maxima of scan_points stacks.
 
-    ``bins`` is checked before the first point is read.  A bin's witness is
-    the first point to reach its maximum; no other state is kept.
+    ``bins`` is checked before the first stack is read.  A bin's witness is
+    the first state to reach its maximum; no other state is kept.
     """
-    if float(bins) < 10:  # float() raises OverflowError here, not at the first point's mix * bins
+    if float(bins) < 10:  # float() raises OverflowError here, not at the first state's mix * bins
         raise OutOfRange(f"need at least 10 bins, got {bins}")
     occupied: dict[int, list] = {}  # bin index -> [max tangle, witness matrix, count]
     total = 0
-    for tau, mix, mat in points:
-        total += 1
-        idx = min(int(_clip01(mix) * bins), bins - 1)
-        slot = occupied.get(idx)
-        if slot is None:
-            occupied[idx] = [tau, mat.copy(), 1]  # a copy: a view would keep its whole stack
-            continue
-        slot[2] += 1
-        if tau > slot[0]:
-            slot[0], slot[1] = tau, mat.copy()
+    for taus, mixedness, mats in stacks:
+        total += len(mats)
+        # per state in Python: a lexsort reduction measured slower on stacks of about 40 states
+        for tau, mix, mat in zip(taus.tolist(), np.clip(mixedness, 0.0, 1.0).tolist(), mats):
+            idx = min(int(mix * bins), bins - 1)
+            slot = occupied.get(idx)
+            if slot is None:
+                occupied[idx] = [tau, mat.copy(), 1]  # a copy: a view would keep its whole stack
+                continue
+            slot[2] += 1
+            if tau > slot[0]:
+                slot[0], slot[1] = tau, mat.copy()
     stats = tuple(
         BinStat(lo=idx / bins, hi=(idx + 1) / bins, max_tangle=tau,
                 witness_digest=digest(witness), count=count)
@@ -206,12 +204,11 @@ def certify_states(stacks: Iterable[np.ndarray], tolerance: float) -> Certificat
     worst = -math.inf
     witness = None
     total = 0
-    for mats in stacks:
+    for taus, mixedness, mats in scan_points(stacks, MixednessMetric.LINEAR):
         if not len(mats):
             continue
         total += len(mats)
-        mixedness = np.clip(_metric_values(MixednessMetric.LINEAR, mats), 0.0, 1.0)
-        violations = tangle_batch(mats) - _envelope(mixedness)
+        violations = taus - _envelope(np.clip(mixedness, 0.0, 1.0))
         k = int(np.argmax(violations))  # the first index of the stack's maximum
         if violations[k] > worst:  # strict, so a tie in a later stack keeps the earlier witness
             worst, witness = float(violations[k]), mats[k]
@@ -255,7 +252,7 @@ def hill_climb(
         raise OutOfRange(f"need at least 1 step, got {steps}")
     if not 0.0 < band < math.inf:
         raise OutOfRange(f"band={band} must be positive and finite")
-    anchor = _metric_value(metric, start.mat)
+    anchor = _mixedness(metric, start.mat[None])[0]
     current = start.mat
     current_tangle = tangle_of_mat(current)
     root = psd_sqrt(current)
@@ -279,10 +276,8 @@ def hill_climb(
         proposals = (1.0 - w) * current + (w / tr[live, None, None]) * sigma[live]
         evaluated = len(ws)
         for k, candidate, cand_tangle in zip(live.tolist(), proposals, tangle_batch(proposals).tolist()):
-            if cand_tangle > current_tangle and abs(_metric_value(metric, candidate) - anchor) <= band:
-                current = candidate
-                current_tangle = cand_tangle
-                root = psd_sqrt(current)
+            if cand_tangle > current_tangle and abs(_mixedness(metric, candidate[None])[0] - anchor) <= band:
+                current, current_tangle, root = candidate, cand_tangle, psd_sqrt(candidate)
                 evaluated = k + 1
                 break
         del ws[:evaluated], wishes[:evaluated], support_weighted[:evaluated]

@@ -49,13 +49,13 @@ def test_criterion_1_curve_endpoints():
     start = time.perf_counter()
     worst = 0.0
 
-    points = mems_curve(101)
+    points = list(mems_curve(101))
     _, tau, s = points[-1]
     worst = max(worst, abs(tau - 1.0), abs(s))
     _, tau, s = points[0]
     worst = max(worst, abs(tau), abs(s - 8 / 9))
 
-    points = werner_curve(101)
+    points = list(werner_curve(101))
     _, tau, s = points[-1]
     worst = max(worst, abs(tau - 1.0), abs(s))
     # the Werner family hits (0, 8/9) at gamma = 1/3 (between grid points)

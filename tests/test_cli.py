@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import memslab
@@ -44,6 +45,12 @@ class TestMeasure:
         report = parse_kv(capsys.readouterr().out)
         assert float(report["tangle"]) == 0.0
         assert float(report["linear_entropy"]) == 1.0
+
+    def test_pure_product_file_has_positive_zero_entropy(self, tmp_path, capsys):
+        path = tmp_path / "zero.mat"
+        write_matrix_file(path, np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex))  # |00><00|
+        assert run_cli("measure", str(path)) == 0
+        assert parse_kv(capsys.readouterr().out)["von_neumann"] == "0"  # not "-0"
 
     def test_twelve_significant_digits(self, capsys):
         run_cli("measure", "--family", "mems", "--gamma", "0.5")
@@ -367,7 +374,10 @@ PAST_KEYS = str((CHUNK << 64) + 1)  # more than 2^64 chunks: the 64-bit chunk ke
     ["concentrate", "--gamma", "0.5", "--steps", HUGE, "--out"],
     ["scan", "--count", PAST_KEYS, "--out"],
     ["certify", "--count", PAST_KEYS],
-], ids=["scan-bins", "scan-count", "certify-count", "concentrate-steps", "scan-count-keys", "certify-count-keys"])
+    ["curve", "--family", "mems", "--points", HUGE, "--out"],
+    ["curve", "--family", "werner", "--points", HUGE, "--out"],
+], ids=["scan-bins", "scan-count", "certify-count", "concentrate-steps", "scan-count-keys", "certify-count-keys",
+        "curve-mems-points", "curve-werner-points"])
 def test_oversized_integer_flag_is_a_usage_error(tmp_path, capsys, argv):
     if argv[-1] == "--out":
         argv = [*argv, str(tmp_path / "o.csv")]

@@ -38,7 +38,7 @@ def werner_tangle(gamma):
 
 class TestCurves:
     def test_mems_endpoints(self):
-        points = mems_curve(101)
+        points = list(mems_curve(101))
         g0, t0, s0 = points[0]
         g1, t1, s1 = points[-1]
         assert (g0, t0) == (0.0, 0.0) and abs(s0 - 8 / 9) <= 1e-15
@@ -51,7 +51,7 @@ class TestCurves:
         assert (8 / 3) * gamma * (1 - gamma) == pytest.approx(16 / 27, abs=1e-15)
 
     def test_werner_measured_points(self):
-        points = werner_curve(11)
+        points = list(werner_curve(11))
         gammas = [p[0] for p in points]
         assert gammas == [i / 10 for i in range(11)]
         g, t, s = points[6]  # gamma = 0.6
@@ -72,6 +72,13 @@ class TestCurves:
             mems_curve(1)
         with pytest.raises(OutOfRange):
             werner_curve(0)
+
+    @pytest.mark.parametrize("curve", [mems_curve, werner_curve])
+    def test_points_are_yielded_lazily(self, curve):
+        points = curve(10**300)  # a list of these would not fit in memory
+        assert next(points)[0] == 0.0 and 0.0 < next(points)[0] < 1e-299
+        with pytest.raises(OverflowError):
+            curve(10**400)  # past float range: rejected before any point
 
 
 class TestEnvelope:

@@ -22,9 +22,11 @@ from memslab.measures import (
     tangle,
     tangle_batch,
     tangle_of_mat,
+    von_neumann_batch,
     von_neumann_entropy,
     wootters_lambdas,
 )
+from memslab.sampling import EnsembleSpec, GinibreRank, sample_states
 from memslab.states import (
     AnsatzParams,
     BellKind,
@@ -282,6 +284,30 @@ def test_tangle_batch_rejects_a_non_state_in_the_stack(bad, error):
     mats[5] = bad
     with pytest.raises(error):
         tangle_batch(mats)
+
+
+def reference_von_neumann(mat):
+    """-Tr[rho ln rho] of one matrix: its own eigvalsh, then the ascending math.log loop."""
+    total = 0.0
+    for p in np.linalg.eigvalsh(mat).tolist():
+        if p > 0.0:
+            total -= p * math.log(p)
+    return total
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+@pytest.mark.parametrize("count", [1, 40, 300])
+def test_von_neumann_batch_matches_single_matrix_reference(rank, count):
+    mats = np.concatenate(list(sample_states(EnsembleSpec(GinibreRank(rank), count, seed=rank * 1000 + count))))
+    expected = np.array([reference_von_neumann(mat) for mat in mats])
+    assert len(mats) == count
+    assert np.array_equal(von_neumann_batch(mats), expected)  # bit for bit, not approx
+
+
+@pytest.mark.parametrize("state", [bell(BellKind.PHI_PLUS), werner(0.0), mems(0.6)], ids=["bell", "werner0", "mems0.6"])
+def test_von_neumann_entropy_matches_single_matrix_reference(state):
+    assert von_neumann_entropy(state) == reference_von_neumann(state.mat)
+    assert von_neumann_batch(state.mat[None])[0] == reference_von_neumann(state.mat)
 
 
 def test_report_fields_tuple():
