@@ -109,7 +109,7 @@ def _ensemble_specs(args) -> list[sampling.EnsembleSpec]:
 
 
 def _ensemble_states(args) -> Iterator[np.ndarray]:
-    """The --count states of --ensemble, drawn from --seed, as validated (n, 4, 4) stacks.
+    """The --count states of --ensemble, drawn from --seed, as (n, 4, 4) stacks for frontier.scan_points to validate.
 
     The flags are checked here, before any state is drawn, for every ensemble.
     """

@@ -24,10 +24,10 @@ from typing import Iterable, Iterator, Optional
 import numpy as np
 
 from .linalg import psd_sqrt
-from .measures import linear_entropy_of_mat, tangle_batch, tangle_of_mat, von_neumann_batch
+from .measures import linear_entropy_of_mat, tangle_batch, tangle_eigh, tangle_of_mat, von_neumann_batch
 from .measures import von_neumann_entropy  # not called here: bench/spans.py binds frontier.von_neumann_entropy
 from .sampling import EnsembleSpec, sample_states, wishart
-from .states import DensityMatrix, OutOfRange, digest, make_density, mems_population, werner
+from .states import DensityMatrix, OutOfRange, digest, make_density, mems_population, validate_eigh, werner
 
 LN4 = math.log(4.0)
 WINDOW = 8  # hill_climb proposals whose tangles are computed as one stack
@@ -153,9 +153,15 @@ ScanStack = tuple[np.ndarray, np.ndarray, np.ndarray]  # (tangles, mixedness, st
 
 
 def scan_points(stacks: Iterable[np.ndarray], metric: MixednessMetric) -> Iterator[ScanStack]:
-    """The tangles and mixedness of validated (n, 4, 4) stacks, one triple per stack, in order."""
-    for mats in stacks:
-        yield tangle_batch(mats), _mixedness(metric, mats), mats
+    """The tangles and mixedness of (n, 4, 4) stacks, one triple per stack, in order.
+
+    Each stack is validated as it is read (states.validate_eigh: the errors of
+    validate_stack) and its tangles come from that same eigh, so a stack is
+    decomposed once.  The triple's states are the validated complex128 stack.
+    """
+    for raw in stacks:
+        mats, w, v = validate_eigh(raw)
+        yield tangle_eigh(w, v), _mixedness(metric, mats), mats
 
 
 def bin_maxima(stacks: Iterable[ScanStack], metric: MixednessMetric, bins: int) -> FrontierEnvelope:
@@ -194,10 +200,11 @@ def scan(spec: EnsembleSpec, metric: MixednessMetric, bins: int) -> FrontierEnve
 
 
 def certify_states(stacks: Iterable[np.ndarray], tolerance: float) -> CertificationReport:
-    """Envelope-violation search over validated (n, 4, 4) stacks of states (linear metric).
+    """Envelope-violation search over (n, 4, 4) stacks of states (linear metric).
 
-    The witness is the first state to reach the largest violation; it is the
-    only state built as a DensityMatrix.
+    scan_points validates and measures each stack.  The witness is the first
+    state to reach the largest violation; it is the only state built as a
+    DensityMatrix.
     """
     if not 0.0 < tolerance < math.inf:
         raise OutOfRange(f"tolerance {tolerance} must be positive and finite")

@@ -69,5 +69,10 @@ def psd_sqrt(h: np.ndarray) -> np.ndarray:
     low = float(w.min(initial=0.0))  # initial: an empty stack passes
     if low < -PSD_CLAMP:
         raise NotPSD(f"minimum eigenvalue {low:.3e} is below -{PSD_CLAMP:.0e}")
+    return psd_root(w, v)
+
+
+def psd_root(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The root psd_sqrt builds from an eigendecomposition (w, v) that already passed its checks."""
     root = (v * np.sqrt(np.maximum(w, 0.0))[..., None, :]) @ v.conj().swapaxes(-1, -2)
     return 0.5 * (root + root.conj().swapaxes(-1, -2))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import psd_sqrt
+from .linalg import psd_root, psd_sqrt
 from .states import DensityMatrix
 
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -43,20 +43,24 @@ class MeasureReport:
     FIELDS = ("purity", "linear_entropy", "von_neumann", "concurrence", "tangle", "eof", "negativity")
 
 
-def _lambdas(mats: np.ndarray) -> np.ndarray:
-    """Spin-flip singular values, descending, for each matrix of a (..., 4, 4) stack."""
+def _spin_flip_values(root: np.ndarray) -> np.ndarray:
+    """Spin-flip singular values, descending, from the PSD root of each matrix of a stack."""
     # The lambdas are the square roots of the eigenvalues of the Hermitian
     # product sqrt(rho) rhotilde sqrt(rho) = A A^dag with
     # A = sqrt(rho) S conj(sqrt(rho)); taking singular values of A avoids the
     # sqrt blow-up of eigenvalue rounding noise on boundary-rank states.
-    root = psd_sqrt(mats)
     return np.linalg.svd(root @ _SPIN_FLIP_COMPLEX @ root.conj(), compute_uv=False)
 
 
-def _concurrences(mats: np.ndarray) -> np.ndarray:
-    """C = max(0, lambda_1 - lambda_2 - lambda_3 - lambda_4) for each matrix of a stack."""
+def _lambdas(mats: np.ndarray) -> np.ndarray:
+    """Spin-flip singular values, descending, for each matrix of a (..., 4, 4) stack."""
+    return _spin_flip_values(psd_sqrt(mats))
+
+
+def _concurrences(lambdas: np.ndarray) -> np.ndarray:
+    """C = max(0, lambda_1 - lambda_2 - lambda_3 - lambda_4) from the spin-flip values of each state."""
     # subtract.reduce subtracts in index order, ((l1 - l2) - l3) - l4
-    return np.maximum(np.subtract.reduce(_lambdas(mats), axis=-1), 0.0)
+    return np.maximum(np.subtract.reduce(lambdas, axis=-1), 0.0)
 
 
 def wootters_lambdas(rho: DensityMatrix) -> np.ndarray:
@@ -65,7 +69,7 @@ def wootters_lambdas(rho: DensityMatrix) -> np.ndarray:
 
 
 def concurrence(rho: DensityMatrix) -> float:
-    return float(_concurrences(rho.mat))
+    return float(_concurrences(_lambdas(rho.mat)))
 
 
 def tangle(rho: DensityMatrix) -> float:
@@ -158,5 +162,11 @@ def tangle_batch(mats: np.ndarray) -> np.ndarray:
 
     Raises NotHermitian or NotPSD if any matrix of the stack is not a state.
     """
-    c = _concurrences(mats)
+    c = _concurrences(_lambdas(mats))
+    return c * c
+
+
+def tangle_eigh(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """tangle_batch of a validated stack from its eigh (w, v), bit for bit, without decomposing it again."""
+    c = _concurrences(_spin_flip_values(psd_root(w, v)))
     return c * c

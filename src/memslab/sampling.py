@@ -11,8 +11,11 @@ does not change which states a seed gives.
 
 sample_states(*specs) is one stream over the specs' chunks in order: it
 cuts them into stacks of BLOCK states (the last may be shorter) that run
-across chunk and spec boundaries, and validates each stack once.  For one
-spec every stack lies inside one chunk, since CHUNK is a multiple of BLOCK.
+across chunk and spec boundaries.  For one spec every stack lies inside one
+chunk, since CHUNK is a multiple of BLOCK.  The stacks are yielded as drawn,
+not validated: their consumer validates each one once, and the measuring
+path (frontier.scan_points) does so with the eigendecomposition it measures
+from.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from typing import Iterable, Iterator, Union
 
 import numpy as np
 
-from .states import DensityMatrix, OutOfRange, make_density, validate_stack
+from .states import DensityMatrix, OutOfRange, make_density
 
 CHUNK = 1024
 BLOCK = 128  # states drawn, validated and measured together; bounds the temporaries
@@ -144,7 +147,7 @@ def _perturbations(rng: np.random.Generator, n: int, base: DensityMatrix, eps: f
         uniforms[i] = rng.random()
         rng.standard_normal(out=normals[i])
     w = (eps * (1.0 - uniforms))[:, None, None]  # uniform on (0, eps]
-    # a non-finite noise state makes its mix non-finite, which the mix's block check rejects
+    # a non-finite noise state makes its mix non-finite, which validating the mix's stack rejects
     return (1.0 - w) * base.mat + w * _unit_trace(_wishart(normals))
 
 
@@ -180,16 +183,16 @@ def chunk_sizes(count: int) -> Iterator[int]:
     return (min(CHUNK, count - start) for start in range(0, count, CHUNK))
 
 
-def _validated(pieces: list[np.ndarray]) -> np.ndarray:
-    # a stack drawn in one piece is validated as it is, not copied
-    return validate_stack(pieces[0] if len(pieces) == 1 else np.concatenate(pieces))
+def _joined(pieces: list[np.ndarray]) -> np.ndarray:
+    # a stack drawn in one piece is yielded as it is, not copied
+    return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
 
 
 def _stacks(chunks: Iterable[tuple[EnsembleKind, np.random.Generator, int]]) -> Iterator[np.ndarray]:
-    """The states of (kind, generator, size) chunks, in order, as validated stacks of BLOCK states.
+    """The states of (kind, generator, size) chunks, in order, as drawn stacks of BLOCK states.
 
-    A stack takes its states from as many chunks as it needs and is validated
-    once; only the last stack may hold fewer than BLOCK states.
+    A stack takes its states from as many chunks as it needs; only the last
+    stack may hold fewer than BLOCK states.  Nothing is validated here.
     """
     pieces, room = [], BLOCK
     for kind, rng, size in chunks:
@@ -199,21 +202,23 @@ def _stacks(chunks: Iterable[tuple[EnsembleKind, np.random.Generator, int]]) -> 
             size -= n
             room -= n
             if not room:
-                yield _validated(pieces)
+                yield _joined(pieces)
                 pieces, room = [], BLOCK
     if pieces:
-        yield _validated(pieces)
+        yield _joined(pieces)
 
 
 def generate_chunk(spec: EnsembleSpec, index: int, size: int) -> list[np.ndarray]:
-    """Chunk ``index`` of the stream: validated stacks of at most BLOCK states, in order."""
+    """Chunk ``index`` of the stream: drawn, unvalidated stacks of at most BLOCK states, in order."""
     return list(_stacks([(spec.kind, chunk_generator(spec.seed, index), size)]))
 
 
 def sample_states(*specs: EnsembleSpec) -> Iterator[np.ndarray]:
-    """The states of every spec, in spec and stream order, as validated (n, 4, 4) stacks.
+    """The states of every spec, in spec and stream order, as drawn (n, 4, 4) stacks.
 
     Stacks hold BLOCK states, except the last, and may span chunks and specs.
+    They are not validated here: frontier.scan_points (and so scan and
+    certify) validates each stack before it measures it.
     """
     return _stacks((spec.kind, chunk_generator(spec.seed, i), n)
                    for spec in specs for i, n in enumerate(chunk_sizes(spec.count)))

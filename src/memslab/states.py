@@ -5,6 +5,11 @@ Construction rejects unphysical input instead of repairing it: the frontier
 certification in :mod:`memslab.frontier` depends on the sampler never being
 silently "fixed up".  Only :func:`pure_from_vector` rescales its input, since
 a vector normalization is unambiguous.
+
+Stacks have two validators with one check routine: validate_stack reads the
+PSD check from a stacked eigvalsh, and validate_eigh from a stacked eigh that
+it returns, so that the measuring path (frontier.scan_points) decomposes
+each sampled state once.
 """
 
 from __future__ import annotations
@@ -48,24 +53,25 @@ class DensityMatrix:
     mat: np.ndarray
 
 
-def validate_stack(raw) -> np.ndarray:
-    """Validate each matrix of an (n, 4, 4) stack as a physical two-qubit state.
+def _checked(raw, vectors: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """(mats, w, v) of an (n, 4, 4) stack whose every matrix passes make_density's checks.
 
-    Applies make_density's checks to every matrix: finite entries, the
-    Hermiticity defect, the trace and the minimum eigenvalue.  The first
-    matrix that fails one raises the error make_density raises for it alone.
-    Returns the stack as a complex128 array; no repair is attempted.
+    w holds each matrix's ascending eigenvalues, from eigh when ``vectors``
+    (then v holds its eigenvectors) and from eigvalsh otherwise (v is None);
+    the PSD check reads w's first column.  The first matrix that fails a
+    check raises the error make_density raises for it alone.
     """
     mats = np.asarray(raw, dtype=np.complex128)
     if mats.ndim != 3 or mats.shape[1:] != (4, 4):
         raise ValueError(f"expected a stack of 4x4 matrices, got shape {mats.shape}")
     if not np.isfinite(mats).all():
         first = int(np.argmin(np.isfinite(mats).all(axis=(1, 2))))
-        validate_stack(mats[:first])  # an earlier matrix may fail another check
+        _checked(mats[:first], vectors)  # an earlier matrix may fail another check
         raise ValueError("matrix has non-finite entries")
     defect = herm_defect(mats)
     off = np.abs(np.einsum("nii->n", mats) - 1.0)
-    low = np.linalg.eigvalsh(mats)[:, 0]
+    w, v = np.linalg.eigh(mats) if vectors else (np.linalg.eigvalsh(mats), None)
+    low = w[:, 0]
     bad = (defect > HERM_TOL) | (off > TRACE_TOL) | (low < -PSD_CLAMP)
     if bad.any():
         k = int(np.argmax(bad))
@@ -74,7 +80,28 @@ def validate_stack(raw) -> np.ndarray:
         if off[k] > TRACE_TOL:
             raise TraceNotOne(f"|Tr rho - 1| = {off[k]:.3e} exceeds {TRACE_TOL:.0e}")
         raise NotPSD(f"minimum eigenvalue {low[k]:.3e} is below -{PSD_CLAMP:.0e}")
-    return mats
+    return mats, w, v
+
+
+def validate_stack(raw) -> np.ndarray:
+    """Validate each matrix of an (n, 4, 4) stack as a physical two-qubit state.
+
+    Applies make_density's checks to every matrix: finite entries, the
+    Hermiticity defect, the trace and the minimum eigenvalue (from one
+    stacked eigvalsh).  The first matrix that fails one raises the error
+    make_density raises for it alone.  Returns the stack as a complex128
+    array; no repair is attempted.
+    """
+    return _checked(raw, vectors=False)[0]
+
+
+def validate_eigh(raw) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """validate_stack's checks and errors, with the PSD check read from one stacked eigh.
+
+    Returns (mats, w, v): the complex128 stack and its eigh, which measuring
+    code reuses (measures.tangle_eigh) instead of decomposing the stack again.
+    """
+    return _checked(raw, vectors=True)
 
 
 def make_density(raw) -> DensityMatrix:

@@ -1,16 +1,24 @@
+import contextlib
 import hashlib
+import io
+import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import memslab
 from memslab import cli, frontier
+from memslab.measures import MeasureReport
 from memslab.sampling import CHUNK, EnsembleSpec, GinibreRank
-from memslab.states import digest, maximally_mixed, write_matrix_file
+from memslab.states import (digest, format_matrix, make_density, maximally_mixed, mems, read_matrix_file, werner,
+                            write_matrix_file)
 
 
 def run_cli(*argv):
@@ -384,6 +392,116 @@ def test_oversized_integer_flag_is_a_usage_error(tmp_path, capsys, argv):
     assert run_cli(*argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not any(tmp_path.iterdir())  # not even the --out header line
+
+
+# Exit-code fuzzing of the numeric flags.  Each strategy draws (value, valid) pairs, and
+# draws only values whose work is bounded: small valid counts, points and steps, values
+# rejected before any work, and never a large but float-sized --points or --steps.
+PAST_FLOAT = 2**1024  # float() of this or any larger integer raises OverflowError
+
+
+def _ints(lo, hi, past=None):
+    """Valid integers in [lo, hi], invalid ones below lo, and invalid ones from ``past`` on."""
+    parts = [st.integers(lo, hi).map(lambda n: (n, True)), st.integers(max_value=lo - 1).map(lambda n: (n, False))]
+    if past is not None:
+        parts.append(st.integers(min_value=past).map(lambda n: (n, False)))
+    return st.one_of(parts)
+
+
+def _floats(valid):
+    return st.floats(allow_nan=True, allow_infinity=True).map(lambda x: (x, valid(x)))
+
+
+# flag -> (the command it is fuzzed on, its (value, valid) strategy); "--out" is filled in per example
+FUZZED_FLAGS = {
+    "count": (["scan", "--out"], _ints(1, 300, past=(CHUNK << 64) + 1)),
+    "seed": (["scan", "--count", "20", "--out"],
+             st.one_of(st.integers(), st.integers(-3, 3), st.integers(2**64 - 3, 2**64 + 3))
+             .map(lambda n: (n, 0 <= n < 2**64))),
+    "bins": (["scan", "--count", "20", "--out"],
+             st.one_of(_ints(10, 10**6, past=PAST_FLOAT), st.integers(10, 2**1000).map(lambda n: (n, True)))),
+    "tolerance": (["certify", "--count", "20"], _floats(lambda t: 0.0 < t < math.inf)),
+    "eps": (["scan", "--ensemble", "perturb-mems", "--count", "19", "--out"], _floats(lambda e: 0.0 < e <= 1.0)),
+    "mixture-size": (["scan", "--ensemble", "pure-mixture", "--count", "20", "--out"],
+                     st.integers().map(lambda n: (n, 1 <= n <= 6))),
+    "gamma": (["concentrate", "--steps", "5", "--out"], _floats(lambda g: 0.0 <= g <= 1.0)),
+    "points": (["curve", "--family", "werner", "--out"], _ints(2, 60, past=PAST_FLOAT)),
+    "steps": (["concentrate", "--gamma", "0.5", "--out"], _ints(1, 40, past=PAST_FLOAT)),
+}
+
+
+def run_captured(argv) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_usage_error(code, out, err):
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", sorted(FUZZED_FLAGS))
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_numeric_flag_exit_codes(flag, data):
+    command, values = FUZZED_FLAGS[flag]
+    value, valid = data.draw(values)
+    with tempfile.TemporaryDirectory() as workdir:
+        argv = [*command, os.path.join(workdir, "o.csv")] if command[-1] == "--out" else list(command)
+        # "--flag=value": argparse would read a separate "-inf" or "-1e-05" as a flag
+        code, out, err = run_captured([*argv, f"--{flag}={value!r}"])
+        if valid:
+            assert (code, err) == (0, "")
+        else:
+            assert_usage_error(code, out, err)
+            assert not os.listdir(workdir)  # no --out file, not even a header line
+
+
+ENTRY = st.one_of(st.floats(allow_nan=True, allow_infinity=True).map(repr),
+                  st.sampled_from(["0", "0.25", "1e400", "-0.0", "nan", "x", "", "0.5j", "1,2"]))
+MATRIX_TEXT = st.one_of(
+    st.text(max_size=120),
+    # four-ish rows of four-ish "re,im" entries
+    st.lists(st.lists(st.tuples(ENTRY, ENTRY).map(",".join), min_size=3, max_size=5).map(" ".join),
+             min_size=3, max_size=5).map("\n".join),
+    # written states, some of them with one entry overwritten
+    st.tuples(st.floats(0.0, 1.0), st.sampled_from([werner, mems]), st.integers(0, 15), st.none() | ENTRY)
+    .map(lambda t: _overwritten(format_matrix(t[1](t[0]).mat), t[2], t[3])),
+)
+
+
+def _overwritten(text, index, entry):
+    if entry is None:
+        return text
+    fields = text.split()
+    fields[index] = f"{entry},0.0"
+    return "\n".join(" ".join(fields[row * 4:row * 4 + 4]) for row in range(4))
+
+
+def _is_state_file(path) -> bool:
+    try:
+        make_density(read_matrix_file(path))
+    except ValueError:
+        return False
+    return True
+
+
+@given(text=MATRIX_TEXT)
+@settings(max_examples=150, deadline=None)
+def test_matrix_file_exit_codes(text):
+    with tempfile.TemporaryDirectory() as workdir:
+        path = os.path.join(workdir, "state.mat")
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+        code, out, err = run_captured(["measure", path])
+        if _is_state_file(path):
+            assert (code, err) == (0, "")
+            assert len(out.splitlines()) == len(MeasureReport.FIELDS)
+        else:
+            assert_usage_error(code, out, err)
 
 
 def module_env() -> dict:

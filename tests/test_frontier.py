@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from memslab import cli
 from memslab.frontier import (
     LN4,
     S_BRANCH,
@@ -23,10 +24,11 @@ from memslab.frontier import (
     werner_curve,
 )
 from memslab.linalg import psd_sqrt
-from memslab.measures import linear_entropy, linear_entropy_of_mat, tangle, tangle_of_mat, von_neumann_entropy
-from memslab.sampling import (BLOCK, EnsembleSpec, GinibreFull, GinibreRank, PerturbAbout, ginibre_state,
-                              sample_states, wishart)
-from memslab.states import OutOfRange, digest, make_density, mems, werner
+from memslab.measures import (linear_entropy, linear_entropy_of_mat, tangle, tangle_batch, tangle_of_mat,
+                              von_neumann_batch, von_neumann_entropy)
+from memslab.sampling import (BLOCK, EnsembleSpec, GinibreFull, GinibreRank, PerturbAbout, PureMixture,
+                              ginibre_state, sample_states, splitmix64, wishart)
+from memslab.states import OutOfRange, digest, make_density, mems, validate_stack, werner
 
 LINEAR = MixednessMetric.LINEAR
 VN = MixednessMetric.VON_NEUMANN_NORMALIZED
@@ -247,6 +249,114 @@ def test_witnesses_are_first_to_reach_maximum_across_blocks():
     env = bin_maxima(scan_points(stacks, LINEAR), LINEAR, bins)
     assert [(b.max_tangle, b.witness_digest) for b in env.bins] == [
         tuple(occupied[cell]) for cell in sorted(occupied)]
+
+
+# every ensemble kind, on both sides of the BLOCK (128) edge, and the 19-part perturb-mems stream
+ONE_EIGH_KINDS = {
+    "GinibreFull": GinibreFull(),
+    **{f"GinibreRank({k})": GinibreRank(k) for k in (1, 2, 3, 4)},
+    "PureMixture(4)": PureMixture(4),
+    "PerturbAbout(mems(0.6))": PerturbAbout(mems(0.6), 0.05),
+}
+ONE_EIGH_STREAMS = {
+    **{f"{name}-{count}": [EnsembleSpec(kind, count, seed=count + 7)]
+       for name, kind in ONE_EIGH_KINDS.items() for count in (1, 40, 128, 300)},
+    "perturb-mems-19-parts": [EnsembleSpec(PerturbAbout(mems(round(0.05 * (i + 1), 2)), 0.02), 16,
+                                           seed=9 ^ splitmix64(1 + i)) for i in range(19)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(ONE_EIGH_STREAMS))
+def test_scan_and_certify_measure_like_validate_then_tangle_batch(name):
+    stacks = list(sample_states(*ONE_EIGH_STREAMS[name]))
+    validated = [validate_stack(raw) for raw in stacks]
+    for metric in (LINEAR, VN):
+        for (taus, mixedness, mats), ref in zip(scan_points(stacks, metric), validated, strict=True):
+            if metric is LINEAR:
+                expected = np.array([linear_entropy_of_mat(mat) for mat in ref])
+            else:
+                expected = von_neumann_batch(ref) / LN4
+            assert taus.tobytes() == tangle_batch(ref).tobytes()  # bit for bit, not approx
+            assert mixedness.tobytes() == expected.tobytes()
+            assert mats.tobytes() == ref.tobytes()
+    worst, witness = -math.inf, None
+    for ref in validated:
+        for tau, mat in zip(tangle_batch(ref).tolist(), ref):
+            violation = tau - envelope_tangle(LINEAR, _clipped(linear_entropy_of_mat(mat)))
+            if violation > worst:
+                worst, witness = violation, mat
+    report = certify_states(stacks, tolerance=1e-9)
+    assert report.max_violation == worst
+    assert report.violating_state.mat.tobytes() == witness.tobytes()
+
+
+def _rotated(eigenvalues):
+    """A state with the given spectrum in a fixed non-diagonal basis."""
+    q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((4, 4))
+                        + 1j * np.random.default_rng(4).standard_normal((4, 4)))
+    return (q * np.asarray(eigenvalues)) @ q.conj().T
+
+
+def _defective(kind):
+    mat = np.eye(4, dtype=np.complex128) / 4
+    if kind == "non-finite":
+        mat[2, 1] = np.nan
+    elif kind == "hermiticity":
+        mat[0, 1] += 1j * 2e-10 / math.sqrt(8)  # ||rho - rho^dag||_F = 2e-10
+        mat[1, 0] += 1j * 2e-10 / math.sqrt(8)
+    elif kind == "trace":
+        mat[3, 3] += 2e-10
+    else:
+        mat = _rotated([0.5, 0.3, 0.2 + 2e-10, -2e-10])
+    return mat
+
+
+@pytest.mark.parametrize("k", [0, 2, 4])
+@pytest.mark.parametrize("kind", ["non-finite", "hermiticity", "trace", "psd"])
+def test_scan_and_certify_reject_like_validate_stack(kind, k):
+    stack = np.stack([mems(0.2 * i).mat for i in range(5)])
+    stack[k] = _defective(kind)
+    with pytest.raises(ValueError) as alone:
+        validate_stack(stack)
+    for consume in (lambda: certify_states([stack], 1e-9), lambda: next(scan_points([stack], LINEAR))):
+        with pytest.raises(ValueError) as err:
+            consume()
+        assert type(err.value) is type(alone.value)
+        assert str(err.value) == str(alone.value)
+
+
+def test_eigenvalue_within_the_clamp_passes_every_check():
+    stack = np.stack([mems(0.2 * i).mat for i in range(5)])
+    stack[2] = _rotated([0.5, 0.3, 0.2 + 5e-11, -5e-11])
+    validate_stack(stack)
+    assert certify_states([stack], 1e-9).samples_total == 5
+    assert len(next(scan_points([stack], LINEAR))[0]) == 5
+
+
+def _count_calls(monkeypatch):
+    """Count np.linalg eigh/eigvalsh/svd calls from now on, through the module attributes the library looks up."""
+    counts = dict.fromkeys(("eigh", "eigvalsh", "svd"), 0)
+    for name in counts:
+        def counted(*args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    return counts
+
+
+def test_certify_decomposes_each_stack_once(monkeypatch):
+    spec = EnsembleSpec(GinibreFull(), 300, seed=5)  # stacks of 128, 128 and 44
+    counts = _count_calls(monkeypatch)
+    certify(spec, 1e-9)
+    # one eigh and one SVD per stack; the one eigvalsh validates the witness (make_density)
+    assert counts == {"eigh": 3, "eigvalsh": 1, "svd": 3}
+
+
+def test_vn_scan_cli_decomposes_each_stack_once(monkeypatch, tmp_path):
+    counts = _count_calls(monkeypatch)
+    assert cli.run(["scan", "--metric", "vn", "--count", "300", "--out", str(tmp_path / "vn.csv")]) == 0
+    # one eigh (validation and root), one SVD and the entropy's eigvalsh per stack
+    assert counts == {"eigh": 3, "eigvalsh": 3, "svd": 3}
 
 
 class TestHillClimb:

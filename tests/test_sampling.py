@@ -316,7 +316,7 @@ class TestMultiSpecStream:
 def test_non_finite_noise_is_rejected_by_the_mix_check(monkeypatch, capsys):
     monkeypatch.setattr(sampling, "_unit_trace", lambda wish: np.full_like(wish, np.nan))
     with pytest.raises(ValueError, match="^matrix has non-finite entries$"):
-        next(sample_states(EnsembleSpec(PerturbAbout(mems(0.5), 0.05), 3, seed=1)))
+        certify_states(sample_states(EnsembleSpec(PerturbAbout(mems(0.5), 0.05), 3, seed=1)), 1e-9)
     assert cli.run(["certify", "--ensemble", "perturb-mems", "--count", "38"]) == 2
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", "error: matrix has non-finite entries\n")
