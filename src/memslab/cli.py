@@ -39,11 +39,17 @@ def fmt(value: float) -> str:
     return f"{value:.12g}"
 
 
+def _row_format(header: str) -> str:
+    """The printf format of one CSV row under ``header``: "%.12g" per column, the bytes of fmt."""
+    return ",".join(["%.12g"] * len(header.split(","))) + "\n"
+
+
 def _write_csv(path: str, header: str, rows) -> None:
+    row_format = _row_format(header)
     with open(path, "w", encoding="ascii", newline="\n") as handle:
         handle.write(header + "\n")
         for row in rows:
-            handle.write(",".join(fmt(v) for v in row) + "\n")
+            handle.write(row_format % tuple(row))
 
 
 def _family_state(family: str, gamma: float | None) -> states.DensityMatrix:
@@ -134,14 +140,16 @@ def _envelope_path(out: str) -> str:
 
 
 def _streamed_points(path: str, stacks: Iterator[frontier.ScanStack]) -> Iterator[frontier.ScanStack]:
-    """Pass scan stacks through, writing each one's tangle,mixedness rows ("%.12g" is fmt) to ``path``.
+    """Pass scan stacks through, writing each one's tangle,mixedness rows to ``path``.
 
     The file is created when the first stack is requested.
     """
+    header = "tangle,mixedness"
+    row_format = _row_format(header)
     with open(path, "w", encoding="ascii", newline="\n") as handle:
-        handle.write("tangle,mixedness\n")
+        handle.write(header + "\n")
         for stack in stacks:
-            handle.write("".join(["%.12g,%.12g\n" % row for row in zip(stack[0].tolist(), stack[1].tolist())]))
+            handle.write("".join([row_format % row for row in zip(stack[0].tolist(), stack[1].tolist())]))
             yield stack
 
 

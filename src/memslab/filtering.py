@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import linear_entropy_of_mat, tangle_batch, tangle_of_mat
+from .measures import linear_entropy_batch, tangle_batch, tangle_of_mat
+from .measures import linear_entropy_of_mat  # not called here: bench/spans.py binds filtering.linear_entropy_of_mat
 from .states import DensityMatrix, OutOfRange, make_density, validate_stack
 
 log = logging.getLogger(__name__)
@@ -123,9 +124,8 @@ def trajectory(start: DensityMatrix, schedule: list[LocalFilter]) -> list[Trajec
         log.debug("skipping %d filters with success probability at or below %.0e",
                   len(schedule) - kept.size, SUCCESS_FLOOR)
     mats = validate_stack(_filtered(start.mat, d[kept], p[kept]))
-    return [TrajectoryPoint(filter=schedule[k], s_linear=linear_entropy_of_mat(mat), tangle=tau,
-                            success_prob=float(p[k]))
-            for k, mat, tau in zip(kept.tolist(), mats, tangle_batch(mats).tolist())]
+    return [TrajectoryPoint(filter=schedule[k], s_linear=s, tangle=tau, success_prob=float(p[k]))
+            for k, s, tau in zip(kept.tolist(), linear_entropy_batch(mats).tolist(), tangle_batch(mats).tolist())]
 
 
 def best_filter(start: DensityMatrix, grid_resolution: int) -> tuple[LocalFilter, FilterOutcome]:

@@ -24,7 +24,8 @@ from typing import Iterable, Iterator, Optional
 import numpy as np
 
 from .linalg import psd_sqrt
-from .measures import linear_entropy_of_mat, tangle_batch, tangle_eigh, tangle_of_mat, von_neumann_batch
+from .measures import linear_entropy_batch, linear_entropy_of_mat, tangle_batch, tangle_eigh, tangle_of_mat
+from .measures import von_neumann_batch
 from .measures import von_neumann_entropy  # not called here: bench/spans.py binds frontier.von_neumann_entropy
 from .sampling import EnsembleSpec, sample_states, wishart
 from .states import DensityMatrix, OutOfRange, digest, make_density, mems_population, validate_eigh, werner
@@ -144,8 +145,7 @@ class CertificationReport:
 def _mixedness(metric: MixednessMetric, mats: np.ndarray) -> np.ndarray:
     """The mixedness of each matrix of a validated (n, 4, 4) stack, not clipped."""
     if metric is MixednessMetric.LINEAR:
-        # one state at a time: a stacked purity differs from np.vdot's in the last bits
-        return np.fromiter(map(linear_entropy_of_mat, mats), dtype=np.float64, count=len(mats))
+        return linear_entropy_batch(mats)
     return von_neumann_batch(mats) / LN4
 
 

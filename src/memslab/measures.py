@@ -94,8 +94,20 @@ def eof(rho: DensityMatrix) -> float:
 
 
 def purity(rho: DensityMatrix) -> float:
-    mat = rho.mat
-    return float(np.vdot(mat, mat).real)  # Tr[rho^2] for Hermitian rho
+    return float(purity_batch(rho.mat[None])[0])
+
+
+def purity_batch(mats: np.ndarray) -> np.ndarray:
+    """Tr[rho^2] of each Hermitian matrix of an (n, 4, 4) stack, bit for bit np.vdot(mat, mat).real."""
+    flat = mats.reshape(len(mats), 1, 16)
+    # one matmul of each conjugated row with its column: numpy reaches BLAS zdotu on
+    # (conj a, a), whose real part is that of np.vdot's zdotc(a, a)
+    return (flat.conj() @ flat.swapaxes(1, 2))[:, 0, 0].real
+
+
+def linear_entropy_batch(mats: np.ndarray) -> np.ndarray:
+    """S_L = (4/3)(1 - Tr[rho^2]) of each matrix of an (n, 4, 4) stack."""
+    return (4.0 / 3.0) * (1.0 - purity_batch(mats))
 
 
 def linear_entropy(rho: DensityMatrix) -> float:
@@ -154,7 +166,7 @@ def tangle_of_mat(mat: np.ndarray) -> float:
 
 
 def linear_entropy_of_mat(mat: np.ndarray) -> float:
-    return (4.0 / 3.0) * (1.0 - float(np.vdot(mat, mat).real))
+    return float(linear_entropy_batch(mat[None])[0])
 
 
 def tangle_batch(mats: np.ndarray) -> np.ndarray:

@@ -2,12 +2,17 @@
 
 Determinism contract: the sequence of sampled states is a pure function of
 (kind, count, seed).  The stream is cut into chunks of CHUNK states; chunk
-``i`` owns a counter-based Philox generator keyed by
+``i`` is drawn from a counter-based Philox generator keyed by
 ``seed XOR splitmix64(i)``, so its states depend only on (kind, seed, i, its
-size) and any chunk can be regenerated on its own with generate_chunk.
-Each state's draws come from its chunk's generator in the same order as
-when states are drawn one at a time, so how the draws are cut into stacks
-does not change which states a seed gives.
+size) and any chunk can be regenerated on its own with generate_chunk
+(chunk_generator builds its generator afresh).  A stream builds one
+generator and re-keys it as each chunk starts, which leaves it in the state
+of a freshly built one.  Each state's draws come from its chunk's generator
+in the same order as when states are drawn one at a time, and the
+arithmetic that turns draws into states (Wishart product, unit trace,
+perturbation mix) is elementwise or per state; it runs once per stack over
+each run of pieces of one draw shape.  So how the draws are cut into
+stacks does not change which states a seed gives.
 
 sample_states(*specs) is one stream over the specs' chunks in order: it
 cuts them into stacks of BLOCK states (the last may be shorter) that run
@@ -21,7 +26,8 @@ from.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Union
+from itertools import groupby
+from typing import Callable, Iterable, Iterator, Union
 
 import numpy as np
 
@@ -41,9 +47,23 @@ def splitmix64(x: int) -> int:
     return (z ^ (z >> 31)) & _MASK64
 
 
+def _keyed(rng: np.random.Generator, seed: int, index: int) -> np.random.Generator:
+    """``rng`` (Philox) re-keyed to chunk ``index`` of stream ``seed``: the state of a fresh Philox(key=...)."""
+    # key words [k, 0], zero counter, empty buffer; cheaper than building a generator,
+    # whose SeedSequence the key would override anyway
+    rng.bit_generator.state = {"bit_generator": "Philox",
+                               "state": {"counter": (0, 0, 0, 0), "key": ((seed ^ splitmix64(index)) & _MASK64, 0)},
+                               "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    return rng
+
+
+def _philox() -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(0))  # a fixed seed: no OS entropy for a state _keyed replaces
+
+
 def chunk_generator(seed: int, index: int) -> np.random.Generator:
-    """The Philox generator owned by chunk ``index`` of stream ``seed``."""
-    return np.random.Generator(np.random.Philox(key=(seed ^ splitmix64(index)) & _MASK64))
+    """A new Philox generator in the state owned by chunk ``index`` of stream ``seed``."""
+    return _keyed(_philox(), seed, index)
 
 
 @dataclass(frozen=True)
@@ -120,62 +140,87 @@ def _unit_trace(wish: np.ndarray) -> np.ndarray:
     return wish / np.trace(wish, axis1=1, axis2=2).real[:, None, None]
 
 
-def _ginibre(rng: np.random.Generator, n: int, rank: int) -> np.ndarray:
-    return _unit_trace(_wishart(rng.standard_normal((n, 2, 4, rank))))
+def _ginibre(normals: np.ndarray) -> np.ndarray:
+    return _unit_trace(_wishart(normals))
 
 
-def _pure_mixtures(rng: np.random.Generator, n: int, size: int) -> np.ndarray:
+def _mixture_draws(rng: np.random.Generator, n: int, size: int) -> tuple[np.ndarray, np.ndarray]:
     weights = np.empty((n, size))
     normals = np.empty((n, size, 2, 4))
     for i in range(n):  # each state's Dirichlet weights, then its vectors' Gaussians
         weights[i] = rng.dirichlet(np.ones(size))
         rng.standard_normal(out=normals[i])
+    return weights, normals
+
+
+def _pure_mixtures(weights: np.ndarray, normals: np.ndarray) -> np.ndarray:
     psi = normals[:, :, 0] + 1j * normals[:, :, 1]
     re, im = psi.real[..., None, :], psi.imag[..., None, :]
     # the dot products np.linalg.norm takes of one vector, so the same bits
     psi /= np.sqrt(re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0]
-    mats = np.zeros((n, 4, 4), dtype=np.complex128)
-    for k in range(size):
+    mats = np.zeros((len(weights), 4, 4), dtype=np.complex128)
+    for k in range(weights.shape[1]):
         mats += weights[:, k, None, None] * (psi[:, k, :, None] * psi[:, k, None, :].conj())
     return mats
 
 
-def _perturbations(rng: np.random.Generator, n: int, base: DensityMatrix, eps: float) -> np.ndarray:
-    uniforms = np.empty(n)
+def _perturbation_draws(rng: np.random.Generator, n: int, base: DensityMatrix,
+                        eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    w = np.empty(n)
     normals = np.empty((n, 2, 4, 4))
-    for i in range(n):  # each state's weight, then its noise state's Gaussians
-        uniforms[i] = rng.random()
+    for i in range(n):  # each state's weight, uniform on (0, eps], then its noise state's Gaussians
+        w[i] = eps * (1.0 - rng.random())
         rng.standard_normal(out=normals[i])
-    w = (eps * (1.0 - uniforms))[:, None, None]  # uniform on (0, eps]
+    return w, normals, base.mat[None].repeat(n, axis=0)  # the base once per state
+
+
+def _perturbations(w: np.ndarray, normals: np.ndarray, bases: np.ndarray) -> np.ndarray:
+    w = w[:, None, None]
     # a non-finite noise state makes its mix non-finite, which validating the mix's stack rejects
-    return (1.0 - w) * base.mat + w * _unit_trace(_wishart(normals))
+    return (1.0 - w) * bases + w * _unit_trace(_wishart(normals))
 
 
-def _draw(kind: EnsembleKind, rng: np.random.Generator, n: int) -> np.ndarray:
-    """n unvalidated states of ``kind`` from ``rng``, as one (n, 4, 4) stack."""
+Piece = tuple[Callable[..., np.ndarray], tuple[np.ndarray, ...]]  # (assembly, draws: one row per state)
+
+
+def _piece(kind: EnsembleKind, rng: np.random.Generator, n: int) -> Piece:
+    """The draws of n states of ``kind`` from ``rng``, in per-state order, and the function that assembles them."""
     if isinstance(kind, GinibreFull):
-        return _ginibre(rng, n, 4)
+        return _ginibre, (rng.standard_normal((n, 2, 4, 4)),)
     if isinstance(kind, GinibreRank):
-        return _ginibre(rng, n, kind.rank)
+        return _ginibre, (rng.standard_normal((n, 2, 4, kind.rank)),)
     if isinstance(kind, PureMixture):
-        return _pure_mixtures(rng, n, kind.size)
+        return _pure_mixtures, _mixture_draws(rng, n, kind.size)
     if isinstance(kind, PerturbAbout):
-        return _perturbations(rng, n, kind.base, kind.eps)
+        return _perturbations, _perturbation_draws(rng, n, kind.base, kind.eps)
     raise TypeError(f"unknown ensemble kind {kind!r}")
+
+
+def _assembled(pieces: list[Piece]) -> np.ndarray:
+    """The unvalidated states of drawn pieces, in order, as one (n, 4, 4) stack.
+
+    Each run of consecutive pieces with one assembly and one draw shape is
+    assembled once; the arithmetic is elementwise or per state, so the bits
+    are those of assembling each piece on its own.
+    """
+    # list comprehensions, not map(np.concatenate, zip(...)): scans on that form held about 0.5 MB more
+    runs = [assemble(*[np.concatenate(column) for column in zip(*[draws for _, draws in run])])
+            for (assemble, _), run in groupby(pieces, key=lambda piece: (piece[0], [a.shape[1:] for a in piece[1]]))]
+    return runs[0] if len(runs) == 1 else np.concatenate(runs)
 
 
 def ginibre_state(rng: np.random.Generator, rank: int = 4) -> DensityMatrix:
     """One Ginibre-induced state of the given rank (rank 4 = Hilbert-Schmidt)."""
-    return make_density(_draw(GinibreRank(rank), rng, 1)[0])
+    return make_density(_assembled([_piece(GinibreRank(rank), rng, 1)])[0])
 
 
 def pure_mixture_state(rng: np.random.Generator, size: int) -> DensityMatrix:
-    return make_density(_draw(PureMixture(size), rng, 1)[0])
+    return make_density(_assembled([_piece(PureMixture(size), rng, 1)])[0])
 
 
 def perturb_about(base: DensityMatrix, eps: float, rng: np.random.Generator) -> DensityMatrix:
     """Convex mix of ``base`` with one full-rank Ginibre state; weight in (0, eps]."""
-    return make_density(_draw(PerturbAbout(base, eps), rng, 1)[0])
+    return make_density(_assembled([_piece(PerturbAbout(base, eps), rng, 1)])[0])
 
 
 def chunk_sizes(count: int) -> Iterator[int]:
@@ -183,29 +228,26 @@ def chunk_sizes(count: int) -> Iterator[int]:
     return (min(CHUNK, count - start) for start in range(0, count, CHUNK))
 
 
-def _joined(pieces: list[np.ndarray]) -> np.ndarray:
-    # a stack drawn in one piece is yielded as it is, not copied
-    return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
-
-
 def _stacks(chunks: Iterable[tuple[EnsembleKind, np.random.Generator, int]]) -> Iterator[np.ndarray]:
     """The states of (kind, generator, size) chunks, in order, as drawn stacks of BLOCK states.
 
     A stack takes its states from as many chunks as it needs; only the last
-    stack may hold fewer than BLOCK states.  Nothing is validated here.
+    stack may hold fewer than BLOCK states.  A chunk's draws are all made
+    before the next chunk is pulled, so its generator may be re-keyed for
+    the next one.  Nothing is validated here.
     """
     pieces, room = [], BLOCK
     for kind, rng, size in chunks:
         while size:
             n = min(room, size)
-            pieces.append(_draw(kind, rng, n))
+            pieces.append(_piece(kind, rng, n))
             size -= n
             room -= n
             if not room:
-                yield _joined(pieces)
+                yield _assembled(pieces)
                 pieces, room = [], BLOCK
     if pieces:
-        yield _joined(pieces)
+        yield _assembled(pieces)
 
 
 def generate_chunk(spec: EnsembleSpec, index: int, size: int) -> list[np.ndarray]:
@@ -220,5 +262,6 @@ def sample_states(*specs: EnsembleSpec) -> Iterator[np.ndarray]:
     They are not validated here: frontier.scan_points (and so scan and
     certify) validates each stack before it measures it.
     """
-    return _stacks((spec.kind, chunk_generator(spec.seed, i), n)
+    rng = _philox()  # one generator, re-keyed as each chunk is pulled
+    return _stacks((spec.kind, _keyed(rng, spec.seed, i), n)
                    for spec in specs for i, n in enumerate(chunk_sizes(spec.count)))

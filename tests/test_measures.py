@@ -15,10 +15,13 @@ from memslab.measures import (
     eof,
     eof_from_tangle,
     linear_entropy,
+    linear_entropy_batch,
+    linear_entropy_of_mat,
     measure_report,
     negativity,
     partial_transpose,
     purity,
+    purity_batch,
     tangle,
     tangle_batch,
     tangle_of_mat,
@@ -26,15 +29,19 @@ from memslab.measures import (
     von_neumann_entropy,
     wootters_lambdas,
 )
-from memslab.sampling import EnsembleSpec, GinibreRank, sample_states
+from memslab import cli
+from memslab.filtering import apply_filter, kappa_schedule, one_sided_filter, trajectory, two_sided_filter
+from memslab.sampling import EnsembleSpec, GinibreRank, PerturbAbout, PureMixture, sample_states
 from memslab.states import (
     AnsatzParams,
     BellKind,
     ansatz,
     bell,
+    digest,
     make_density,
     maximally_mixed,
     mems,
+    validate_stack,
     werner,
 )
 
@@ -308,6 +315,67 @@ def test_von_neumann_batch_matches_single_matrix_reference(rank, count):
 def test_von_neumann_entropy_matches_single_matrix_reference(state):
     assert von_neumann_entropy(state) == reference_von_neumann(state.mat)
     assert von_neumann_batch(state.mat[None])[0] == reference_von_neumann(state.mat)
+
+
+def reference_purity(mat):
+    """Tr[rho^2] of one matrix as np.vdot of its 16 entries with themselves."""
+    return float(np.vdot(mat, mat).real)
+
+
+def reference_linear_entropy(mat):
+    return (4.0 / 3.0) * (1.0 - reference_purity(mat))
+
+
+PURITY_KINDS = {
+    **{f"GinibreRank({k})": GinibreRank(k) for k in (1, 2, 3, 4)},
+    **{f"PureMixture({m})": PureMixture(m) for m in (2, 3, 6)},
+    **{f"PerturbAbout(mems({g}))": PerturbAbout(mems(g), 0.05) for g in (0.1, 0.5, 0.9)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(PURITY_KINDS))
+@pytest.mark.parametrize("count", [1, 40, 300])
+def test_purity_batch_matches_per_slice_vdot_reference(name, count):
+    mats = validate_stack(np.concatenate(list(sample_states(EnsembleSpec(PURITY_KINDS[name], count, seed=count)))))
+    expected = np.array([reference_purity(mat) for mat in mats])
+    assert np.array_equal(purity_batch(mats), expected)  # bit for bit, not approx
+    assert np.array_equal(linear_entropy_batch(mats), np.array([reference_linear_entropy(mat) for mat in mats]))
+    assert [purity_batch(mat[None])[0] for mat in mats[:5]] == expected[:5].tolist()  # one-state stacks
+    assert np.array_equal(purity_batch(mats[::3]), expected[::3])  # a strided view
+
+
+@pytest.mark.parametrize("family", [mems, werner], ids=["mems", "werner"])
+@pytest.mark.parametrize("make", [two_sided_filter, one_sided_filter], ids=["two-sided", "one-sided"])
+def test_linear_entropy_matches_vdot_reference_on_filtered_grids(family, make):
+    schedule = [make(float(k)) for k in kappa_schedule(40)]
+    for gamma in np.linspace(0.02, 0.98, 25).tolist():
+        start = family(gamma)
+        filtered = [apply_filter(start, f).state.mat for f in schedule]
+        expected = [reference_linear_entropy(mat) for mat in filtered]
+        assert linear_entropy_batch(np.array(filtered)).tolist() == expected
+        assert [point.s_linear for point in trajectory(start, schedule)] == expected
+
+
+MEASURED_STATES = [bell(kind) for kind in BellKind] + [maximally_mixed()] + [
+    family(gamma) for family in (werner, mems) for gamma in (0.0, 0.1, 0.3, 0.5, 2 / 3, 0.9, 1.0)]
+
+
+@pytest.mark.parametrize("state", MEASURED_STATES, ids=lambda state: digest(state.mat)[:12])
+def test_one_state_purity_matches_vdot_reference(state):
+    assert purity(state) == reference_purity(state.mat)
+    assert linear_entropy(state) == linear_entropy_of_mat(state.mat) == reference_linear_entropy(state.mat)
+
+
+@pytest.mark.parametrize("family", cli.FAMILIES)
+def test_measure_prints_the_vdot_purity_of_every_family(family, capsys):
+    gammas = (0.0, 0.3, 2 / 3, 1.0) if family in ("werner", "mems") else (None,)
+    for gamma in gammas:
+        flags = [] if gamma is None else ["--gamma", repr(gamma)]
+        assert cli.run(["measure", "--family", family, *flags]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        mat = cli._family_state(family, gamma).mat
+        assert lines[:2] == [f"purity={cli.fmt(reference_purity(mat))}",
+                             f"linear_entropy={cli.fmt(reference_linear_entropy(mat))}"]
 
 
 def test_report_fields_tuple():

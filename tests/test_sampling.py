@@ -26,7 +26,7 @@ from memslab.sampling import (
     splitmix64,
     wishart,
 )
-from memslab.states import OutOfRange, digest, make_density, mems
+from memslab.states import OutOfRange, digest, make_density, mems, werner
 
 
 class TestSpecValidation:
@@ -262,6 +262,56 @@ def test_wishart_matches_two_draw_reference(rank):
         assert np.array_equal(wishart(ours, rank), g @ g.conj().T)
 
 
+def _drawn(kind, rng, n):
+    """n states of ``kind`` from ``rng``, drawn and assembled one state at a time."""
+    return np.stack([sampling._assembled([sampling._piece(kind, rng, 1)])[0] for _ in range(n)])
+
+
+def _count_philox(monkeypatch):
+    """Record every np.random.Philox built from now on; returns the record."""
+    built, philox = [], np.random.Philox
+
+    def counted(*args, **kwargs):
+        built.append((args, kwargs))
+        return philox(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counted)
+    return built
+
+
+KEYS = [0, 1 << 63 | 7, (1 << 64) - 1]
+
+
+@pytest.mark.parametrize("key", KEYS)
+@pytest.mark.parametrize("index", [0, 3, 1 << 40])
+def test_chunk_generator_is_a_fresh_philox_keyed_by_the_chunk(key, index):
+    seed = key ^ splitmix64(index)
+    ours, fresh = chunk_generator(seed, index), np.random.Generator(np.random.Philox(key=key))
+    assert ours.bit_generator.state["state"]["key"].tolist() == [key, 0]
+    assert ours.random(5).tolist() == fresh.random(5).tolist()
+    assert ours.standard_normal(7).tolist() == fresh.standard_normal(7).tolist()
+
+
+@pytest.mark.parametrize("key", KEYS)
+def test_rekeying_a_used_generator_gives_a_fresh_generators_draws(key):
+    rng = chunk_generator(5, 2)
+    rng.integers(0, 1 << 31, size=3, dtype=np.int32)  # 32-bit draws leave a buffered half word
+    rng.standard_normal(5)
+    rng.dirichlet(np.ones(3))
+    seed = key ^ splitmix64(7)
+    assert sampling._keyed(rng, seed, 7) is rng
+    fresh = chunk_generator(seed, 7)
+    for draw in (lambda g: g.integers(0, 1 << 31, size=5, dtype=np.int32), lambda g: g.random(3),
+                 lambda g: g.standard_normal((2, 4, 4)), lambda g: g.dirichlet(np.ones(4))):
+        assert draw(rng).tolist() == draw(fresh).tolist()
+
+
+def test_perturb_mems_scan_builds_one_bit_generator(monkeypatch, tmp_path):
+    built = _count_philox(monkeypatch)
+    assert cli.run(["scan", "--ensemble", "perturb-mems", "--count", "38", "--out", str(tmp_path / "p.csv")]) == 0
+    assert len(built) == 1  # one per stream, not one per part or chunk
+
+
 # several specs drawn as one stream: the perturb-mems layout of 19 two-state parts, parts
 # that end inside and cross a CHUNK, and parts of every kind
 MULTI_SPECS = {
@@ -272,6 +322,14 @@ MULTI_SPECS = {
     "mixed-kinds": [EnsembleSpec(GinibreRank(2), 200, seed=1), EnsembleSpec(PureMixture(3), 300, seed=2),
                     EnsembleSpec(PerturbAbout(mems(0.7), 0.05), 130, seed=3),
                     EnsembleSpec(GinibreFull(), 1100, seed=4), EnsembleSpec(PureMixture(6), 1, seed=5)],
+    # the generator is re-keyed after PureMixture parts and inside chunk-crossing ones, and
+    # stacks hold runs of one kind whose draw shapes differ (ranks, mixture sizes, bases)
+    "rekeyed-kinds": [EnsembleSpec(PureMixture(2), 1030, seed=9), EnsembleSpec(GinibreRank(1), 5, seed=10),
+                      EnsembleSpec(PureMixture(5), 3, seed=11), EnsembleSpec(GinibreRank(3), 1025, seed=12),
+                      EnsembleSpec(GinibreFull(), 2, seed=13), EnsembleSpec(GinibreRank(4), 2, seed=14),
+                      EnsembleSpec(PerturbAbout(mems(0.2), 0.3), 3, seed=15),
+                      EnsembleSpec(PerturbAbout(werner(0.9), 0.01), 4, seed=16),
+                      EnsembleSpec(PureMixture(1), 2, seed=(1 << 64) - 1)],
 }
 
 
@@ -285,6 +343,18 @@ class TestMultiSpecStream:
                                  for mats in generate_chunk(spec, i, n)])
         assert merged.tobytes() == own.tobytes()
         assert merged.tobytes() == chunks.tobytes()
+
+    def test_equals_fresh_chunk_generators(self, name):
+        specs = MULTI_SPECS[name]
+        fresh = np.concatenate([_drawn(spec.kind, chunk_generator(spec.seed, i), n)
+                                for spec in specs for i, n in enumerate(chunk_sizes(spec.count))])
+        assert np.concatenate(list(sample_states(*specs))).tobytes() == fresh.tobytes()
+
+    def test_one_bit_generator_per_stream(self, name, monkeypatch):
+        built = _count_philox(monkeypatch)
+        for _ in sample_states(*MULTI_SPECS[name]):
+            pass
+        assert len(built) == 1
 
     def test_full_blocks_then_the_rest(self, name):
         total = sum(spec.count for spec in MULTI_SPECS[name])
