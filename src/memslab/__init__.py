@@ -52,9 +52,6 @@ from .sampling import (
     GinibreRank,
     PerturbAbout,
     PureMixture,
-    ginibre_state,
-    perturb_about,
-    pure_mixture_state,
     sample_states,
 )
 from .states import (

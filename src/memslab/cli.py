@@ -238,7 +238,8 @@ def run(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ValueError, OverflowError, OSError) as exc:  # OverflowError: an integer flag past float/index range
+    # OverflowError: an integer flag past float/index range; MemoryError: one whose array cannot be allocated
+    except (ValueError, OverflowError, MemoryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

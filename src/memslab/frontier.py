@@ -28,7 +28,7 @@ from .measures import linear_entropy_batch, linear_entropy_of_mat, tangle_batch,
 from .measures import von_neumann_batch
 from .measures import von_neumann_entropy  # not called here: bench/spans.py binds frontier.von_neumann_entropy
 from .sampling import EnsembleSpec, sample_states, wishart
-from .states import DensityMatrix, OutOfRange, digest, make_density, mems_population, validate_eigh, werner
+from .states import DensityMatrix, OutOfRange, make_density, mems_population, validate_eigh, werner
 
 LN4 = math.log(4.0)
 WINDOW = 8  # hill_climb proposals whose tangles are computed as one stack
@@ -107,7 +107,6 @@ class BinStat:
     lo: float
     hi: float
     max_tangle: float
-    witness_digest: str
     count: int
 
 
@@ -167,30 +166,28 @@ def scan_points(stacks: Iterable[np.ndarray], metric: MixednessMetric) -> Iterat
 def bin_maxima(stacks: Iterable[ScanStack], metric: MixednessMetric, bins: int) -> FrontierEnvelope:
     """Per-bin tangle maxima of scan_points stacks.
 
-    ``bins`` is checked before the first stack is read.  A bin's witness is
-    the first state to reach its maximum; no other state is kept.
+    ``bins`` is checked before the first stack is read.  Only the occupied
+    bins' maxima and counts are kept, in a dict keyed by bin index, so a bin
+    count far past the sample count costs nothing; no state is kept.
     """
     if float(bins) < 10:  # float() raises OverflowError here, not at the first state's mix * bins
         raise OutOfRange(f"need at least 10 bins, got {bins}")
-    occupied: dict[int, list] = {}  # bin index -> [max tangle, witness matrix, count]
+    occupied: dict[int, list] = {}  # bin index -> [max tangle, count]
     total = 0
     for taus, mixedness, mats in stacks:
         total += len(mats)
         # per state in Python: a lexsort reduction measured slower on stacks of about 40 states
-        for tau, mix, mat in zip(taus.tolist(), np.clip(mixedness, 0.0, 1.0).tolist(), mats):
+        for tau, mix in zip(taus.tolist(), np.clip(mixedness, 0.0, 1.0).tolist()):
             idx = min(int(mix * bins), bins - 1)
             slot = occupied.get(idx)
             if slot is None:
-                occupied[idx] = [tau, mat.copy(), 1]  # a copy: a view would keep its whole stack
+                occupied[idx] = [tau, 1]
                 continue
-            slot[2] += 1
+            slot[1] += 1
             if tau > slot[0]:
-                slot[0], slot[1] = tau, mat.copy()
-    stats = tuple(
-        BinStat(lo=idx / bins, hi=(idx + 1) / bins, max_tangle=tau,
-                witness_digest=digest(witness), count=count)
-        for idx, (tau, witness, count) in sorted(occupied.items())
-    )
+                slot[0] = tau
+    stats = tuple(BinStat(lo=idx / bins, hi=(idx + 1) / bins, max_tangle=tau, count=count)
+                  for idx, (tau, count) in sorted(occupied.items()))
     return FrontierEnvelope(metric=metric, bin_count=bins, bins=stats, samples_total=total)
 
 

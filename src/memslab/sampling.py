@@ -1,18 +1,19 @@
 """Seeded random generation of physical two-qubit states.
 
-Determinism contract: the sequence of sampled states is a pure function of
-(kind, count, seed).  The stream is cut into chunks of CHUNK states; chunk
-``i`` is drawn from a counter-based Philox generator keyed by
+sample_states is the one way to draw states; there is no per-state
+sampler.  Determinism contract: the sequence of sampled states is a pure
+function of (kind, count, seed).  The stream is cut into chunks of CHUNK
+states; chunk ``i`` is drawn from a counter-based Philox generator keyed by
 ``seed XOR splitmix64(i)``, so its states depend only on (kind, seed, i, its
 size) and any chunk can be regenerated on its own with generate_chunk
 (chunk_generator builds its generator afresh).  A stream builds one
 generator and re-keys it as each chunk starts, which leaves it in the state
 of a freshly built one.  Each state's draws come from its chunk's generator
-in the same order as when states are drawn one at a time, and the
-arithmetic that turns draws into states (Wishart product, unit trace,
-perturbation mix) is elementwise or per state; it runs once per stack over
-each run of pieces of one draw shape.  So how the draws are cut into
-stacks does not change which states a seed gives.
+state by state, in stream order, and the arithmetic that turns draws into
+states (Wishart product, unit trace, perturbation mix) is elementwise or per
+state; it runs once per stack over each run of pieces of one draw shape.
+So how the draws are cut into stacks does not change which states a seed
+gives.
 
 sample_states(*specs) is one stream over the specs' chunks in order: it
 cuts them into stacks of BLOCK states (the last may be shorter) that run
@@ -31,7 +32,8 @@ from typing import Callable, Iterable, Iterator, Union
 
 import numpy as np
 
-from .states import DensityMatrix, OutOfRange, make_density
+from .states import DensityMatrix, OutOfRange
+from .states import make_density  # not called here: bench/spans.py binds sampling.make_density
 
 CHUNK = 1024
 BLOCK = 128  # states drawn, validated and measured together; bounds the temporaries
@@ -207,20 +209,6 @@ def _assembled(pieces: list[Piece]) -> np.ndarray:
     runs = [assemble(*[np.concatenate(column) for column in zip(*[draws for _, draws in run])])
             for (assemble, _), run in groupby(pieces, key=lambda piece: (piece[0], [a.shape[1:] for a in piece[1]]))]
     return runs[0] if len(runs) == 1 else np.concatenate(runs)
-
-
-def ginibre_state(rng: np.random.Generator, rank: int = 4) -> DensityMatrix:
-    """One Ginibre-induced state of the given rank (rank 4 = Hilbert-Schmidt)."""
-    return make_density(_assembled([_piece(GinibreRank(rank), rng, 1)])[0])
-
-
-def pure_mixture_state(rng: np.random.Generator, size: int) -> DensityMatrix:
-    return make_density(_assembled([_piece(PureMixture(size), rng, 1)])[0])
-
-
-def perturb_about(base: DensityMatrix, eps: float, rng: np.random.Generator) -> DensityMatrix:
-    """Convex mix of ``base`` with one full-rank Ginibre state; weight in (0, eps]."""
-    return make_density(_assembled([_piece(PerturbAbout(base, eps), rng, 1)])[0])
 
 
 def chunk_sizes(count: int) -> Iterator[int]:

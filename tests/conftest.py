@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from memslab.sampling import ginibre_state, sample_states
+from memslab.sampling import sample_states, wishart
 from memslab.states import make_density
 
 
@@ -10,8 +10,9 @@ def rng_from(seed: int) -> np.random.Generator:
 
 
 def random_state(seed: int, rank: int = 4):
-    """One reproducible random state (test helper, not the library stream)."""
-    return ginibre_state(rng_from(seed), rank)
+    """One reproducible Ginibre state of the given rank (test helper, not the library stream)."""
+    w = wishart(rng_from(seed), rank)
+    return make_density(w / np.trace(w).real)
 
 
 def sampled_states(spec):

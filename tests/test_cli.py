@@ -14,9 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import memslab
-from memslab import cli, frontier
+from memslab import cli, frontier, sampling, states
 from memslab.measures import MeasureReport
-from memslab.sampling import CHUNK, EnsembleSpec, GinibreRank
+from memslab.sampling import CHUNK, EnsembleSpec, GinibreFull, GinibreRank
 from memslab.states import (digest, format_matrix, make_density, maximally_mixed, mems, read_matrix_file, werner,
                             write_matrix_file)
 
@@ -150,14 +150,26 @@ class TestScan:
 
     def test_no_per_state_report_or_digest(self, tmp_path, monkeypatch):
         def refuse(state):
-            raise AssertionError("scan measured a full report")
+            raise AssertionError("scan measured a full report or digested a state")
 
-        digests = []
         monkeypatch.setattr(cli, "measure_report", refuse)
-        monkeypatch.setattr(frontier, "digest", lambda state: digests.append(state) or "")
+        monkeypatch.setattr(states, "digest", refuse)
+        assert not hasattr(frontier, "digest")  # bins hold (lo, hi, max_tangle, count), no witness
         assert run_cli("scan", "--count", "400", "--seed", "2", "--bins", "10",
                        "--out", str(tmp_path / "d.csv")) == 0
-        assert 0 < len(digests) <= 10  # one witness digest per occupied bin
+
+    def test_bins_far_past_the_sample_count(self, tmp_path):
+        # 10^18 bins, float-sized: only the occupied ones are held, one envelope row each
+        bins, spec, linear = 10**18, EnsembleSpec(GinibreFull(), 200, seed=1), frontier.MixednessMetric.LINEAR
+        assert run_cli("scan", "--count", "200", "--seed", "1", "--bins", str(bins),
+                       "--out", str(tmp_path / "sparse.csv")) == 0
+        env = frontier.scan(spec, linear, bins)
+        assert sum(stat.count for stat in env.bins) == env.samples_total == 200
+        mixedness = np.concatenate([mix for _, mix, _ in frontier.scan_points(sampling.sample_states(spec), linear)])
+        cells = sorted({min(int(s * bins), bins - 1) for s in np.clip(mixedness, 0.0, 1.0).tolist()})
+        assert [stat.lo for stat in env.bins] == [idx / bins for idx in cells]
+        rows = [",".join(map(cli.fmt, (stat.lo, stat.hi, stat.max_tangle))) for stat in env.bins]
+        assert (tmp_path / "sparse_envelope.csv").read_text().splitlines() == ["bin_lo,bin_hi,max_tangle", *rows]
 
     @pytest.mark.parametrize("bins", ["0", "-3", "5"])
     def test_bad_bins_write_nothing(self, tmp_path, bins):
@@ -373,6 +385,7 @@ class TestConcentrate:
 
 HUGE = str(10**400)  # past float and index range: rejected before anything is allocated
 PAST_KEYS = str((CHUNK << 64) + 1)  # more than 2^64 chunks: the 64-bit chunk keys would repeat
+UNALLOCATABLE = str(10**15)  # float- and index-sized, but its 8 PB kappa schedule fails to allocate before any work
 
 
 @pytest.mark.parametrize("argv", [
@@ -380,17 +393,19 @@ PAST_KEYS = str((CHUNK << 64) + 1)  # more than 2^64 chunks: the 64-bit chunk ke
     ["scan", "--count", HUGE, "--out"],
     ["certify", "--count", HUGE],
     ["concentrate", "--gamma", "0.5", "--steps", HUGE, "--out"],
+    ["concentrate", "--gamma", "0.5", "--steps", UNALLOCATABLE, "--out"],
     ["scan", "--count", PAST_KEYS, "--out"],
     ["certify", "--count", PAST_KEYS],
     ["curve", "--family", "mems", "--points", HUGE, "--out"],
     ["curve", "--family", "werner", "--points", HUGE, "--out"],
-], ids=["scan-bins", "scan-count", "certify-count", "concentrate-steps", "scan-count-keys", "certify-count-keys",
-        "curve-mems-points", "curve-werner-points"])
+], ids=["scan-bins", "scan-count", "certify-count", "concentrate-steps", "concentrate-steps-unallocatable",
+        "scan-count-keys", "certify-count-keys", "curve-mems-points", "curve-werner-points"])
 def test_oversized_integer_flag_is_a_usage_error(tmp_path, capsys, argv):
     if argv[-1] == "--out":
         argv = [*argv, str(tmp_path / "o.csv")]
     assert run_cli(*argv) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
     assert not any(tmp_path.iterdir())  # not even the --out header line
 
 

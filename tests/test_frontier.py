@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import random_state
 from memslab import cli
 from memslab.frontier import (
     LN4,
@@ -27,8 +28,8 @@ from memslab.linalg import psd_sqrt
 from memslab.measures import (linear_entropy, linear_entropy_of_mat, tangle, tangle_batch, tangle_of_mat,
                               von_neumann_batch, von_neumann_entropy)
 from memslab.sampling import (BLOCK, EnsembleSpec, GinibreFull, GinibreRank, PerturbAbout, PureMixture,
-                              ginibre_state, sample_states, splitmix64, wishart)
-from memslab.states import OutOfRange, digest, make_density, mems, validate_stack, werner
+                              sample_states, splitmix64, wishart)
+from memslab.states import OutOfRange, make_density, mems, validate_stack, werner
 
 LINEAR = MixednessMetric.LINEAR
 VN = MixednessMetric.VON_NEUMANN_NORMALIZED
@@ -217,7 +218,7 @@ def _clipped(s):
 def test_witnesses_are_first_to_reach_maximum_across_blocks():
     # 300 full-rank states fill blocks of 128, 128 and 44.  Every 7th is swapped for a
     # separable Werner state past S_L = 8/9 (tangle 0, envelope 0), so violation 0 is the
-    # largest and ties in every block, and so do the tangle maxima of the top bins.
+    # largest and ties in every block; the top bin's maximum, 0, is reached in every block.
     spec = EnsembleSpec(GinibreFull(), 300, seed=21)
     mats = np.concatenate(list(sample_states(spec)))
     mats[::7] = [werner(0.3 * j / 43).mat for j in range(43)]
@@ -239,16 +240,16 @@ def test_witnesses_are_first_to_reach_maximum_across_blocks():
 
     bins = 20
     cells = [min(int(s * bins), bins - 1) for s in mixedness]
-    occupied = {}  # bin -> [max tangle, witness digest]
-    for state, tau, cell in zip(states, taus, cells):
-        slot = occupied.setdefault(cell, [-1.0, None])
-        if tau > slot[0]:
-            slot[:] = [tau, digest(state.mat)]
+    occupied = {}  # bin -> [max tangle, count]
+    for tau, cell in zip(taus, cells):
+        slot = occupied.setdefault(cell, [-1.0, 0])
+        slot[0] = max(slot[0], tau)
+        slot[1] += 1
     top = cells[0]  # werner(0): S_L = 1, tangle 0
     assert occupied[top][0] == 0.0 and sum(cells[i] == top for i in range(BLOCK, len(mats))) > 1
     env = bin_maxima(scan_points(stacks, LINEAR), LINEAR, bins)
-    assert [(b.max_tangle, b.witness_digest) for b in env.bins] == [
-        tuple(occupied[cell]) for cell in sorted(occupied)]
+    assert [(b.lo, b.max_tangle, b.count) for b in env.bins] == [
+        (cell / bins, *occupied[cell]) for cell in sorted(occupied)]
 
 
 # every ensemble kind, on both sides of the BLOCK (128) edge, and the 19-part perturb-mems stream
@@ -440,8 +441,8 @@ def sequential_hill_climb(start, metric, steps, rng, band=1e-3):
 CLIMB_STARTS = {
     "mems(0.6)": mems(0.6),
     "werner(0.8)": werner(0.8),
-    "ginibre-rank1": ginibre_state(np.random.default_rng(5), 1),
-    "ginibre-rank2": ginibre_state(np.random.default_rng(6), 2),
+    "ginibre-rank1": random_state(5, 1),
+    "ginibre-rank2": random_state(6, 2),
 }
 
 
