@@ -125,6 +125,10 @@ def _ensemble_states(args) -> Iterator[np.ndarray]:
         raise states.OutOfRange(f"--count {args.count} exceeds 2^64 chunks of {sampling.CHUNK}")
     if not 0 <= args.seed < 1 << 64:
         raise states.OutOfRange(f"--seed {args.seed} outside [0, 2^64)")
+    if not 0.0 < args.eps <= 1.0:  # also rejects nan
+        raise states.OutOfRange(f"--eps {args.eps} outside (0, 1]")
+    if not 1 <= args.mixture_size <= 6:
+        raise states.OutOfRange(f"--mixture-size {args.mixture_size} outside 1..6")
     if args.ensemble == "mems":
         # deterministic envelope members at interior gamma grid points
         return (np.stack([states.mems((i + 1) / (args.count + 1)).mat

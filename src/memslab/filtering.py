@@ -112,8 +112,8 @@ def trajectory(start: DensityMatrix, schedule: list[LocalFilter]) -> list[Trajec
     Each point is an independent single-shot application to ``start``.
     Filters whose success probability vanishes are skipped (the returned
     points carry their filter, so gaps are visible to the caller).  The
-    filtered states are validated and measured as one stack, with the same
-    arithmetic as apply_filter, so every point is bit for bit its result.
+    filtered states, built with apply_filter's arithmetic, are validated and
+    measured as one stack, so every point is bit for bit its result.
     """
     if not schedule:
         raise OutOfRange("filter schedule is empty")
@@ -123,9 +123,10 @@ def trajectory(start: DensityMatrix, schedule: list[LocalFilter]) -> list[Trajec
     if kept.size < len(schedule):
         log.debug("skipping %d filters with success probability at or below %.0e",
                   len(schedule) - kept.size, SUCCESS_FLOOR)
-    mats = validate_stack(_filtered(start.mat, d[kept], p[kept]))
+    mats = _filtered(start.mat, d[kept], p[kept])
+    # tangle_batch validates the stack (states.validate_eigh), so it runs before linear_entropy_batch
     return [TrajectoryPoint(filter=schedule[k], s_linear=s, tangle=tau, success_prob=float(p[k]))
-            for k, s, tau in zip(kept.tolist(), linear_entropy_batch(mats).tolist(), tangle_batch(mats).tolist())]
+            for k, tau, s in zip(kept.tolist(), tangle_batch(mats).tolist(), linear_entropy_batch(mats).tolist())]
 
 
 def best_filter(start: DensityMatrix, grid_resolution: int) -> tuple[LocalFilter, FilterOutcome]:

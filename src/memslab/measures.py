@@ -16,8 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import psd_root, psd_sqrt
-from .states import DensityMatrix
+from .linalg import psd_root
+from .linalg import psd_sqrt  # not called here: bench/spans.py binds measures.psd_sqrt
+from .states import DensityMatrix, validate_eigh
 
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 # sigma_y (x) sigma_y: the anti-diagonal (-1, +1, +1, -1), real.
@@ -43,18 +44,14 @@ class MeasureReport:
     FIELDS = ("purity", "linear_entropy", "von_neumann", "concurrence", "tangle", "eof", "negativity")
 
 
-def _spin_flip_values(root: np.ndarray) -> np.ndarray:
-    """Spin-flip singular values, descending, from the PSD root of each matrix of a stack."""
+def _spin_flip_values(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Spin-flip singular values, descending, of each matrix of a validated stack from its eigh (w, v)."""
+    root = psd_root(w, v)
     # The lambdas are the square roots of the eigenvalues of the Hermitian
     # product sqrt(rho) rhotilde sqrt(rho) = A A^dag with
     # A = sqrt(rho) S conj(sqrt(rho)); taking singular values of A avoids the
     # sqrt blow-up of eigenvalue rounding noise on boundary-rank states.
     return np.linalg.svd(root @ _SPIN_FLIP_COMPLEX @ root.conj(), compute_uv=False)
-
-
-def _lambdas(mats: np.ndarray) -> np.ndarray:
-    """Spin-flip singular values, descending, for each matrix of a (..., 4, 4) stack."""
-    return _spin_flip_values(psd_sqrt(mats))
 
 
 def _concurrences(lambdas: np.ndarray) -> np.ndarray:
@@ -64,12 +61,12 @@ def _concurrences(lambdas: np.ndarray) -> np.ndarray:
 
 
 def wootters_lambdas(rho: DensityMatrix) -> np.ndarray:
-    """Spin-flip singular values lambda_1 >= ... >= lambda_4 >= 0."""
-    return _lambdas(rho.mat)
+    """Spin-flip singular values lambda_1 >= ... >= lambda_4 >= 0, from validate_eigh of a one-state stack."""
+    return _spin_flip_values(*validate_eigh(rho.mat[None])[1:])[0]
 
 
 def concurrence(rho: DensityMatrix) -> float:
-    return float(_concurrences(_lambdas(rho.mat)))
+    return float(_concurrences(wootters_lambdas(rho)))
 
 
 def tangle(rho: DensityMatrix) -> float:
@@ -161,8 +158,8 @@ def measure_report(rho: DensityMatrix) -> MeasureReport:
 
 
 def tangle_of_mat(mat: np.ndarray) -> float:
-    """Tangle of a raw (already validated) matrix; hot-loop entry point."""
-    return float(tangle_batch(mat))
+    """Tangle of one 4x4 matrix, validated like make_density; tangle_batch on a one-state stack."""
+    return float(tangle_batch(mat[None])[0])
 
 
 def linear_entropy_of_mat(mat: np.ndarray) -> float:
@@ -170,15 +167,14 @@ def linear_entropy_of_mat(mat: np.ndarray) -> float:
 
 
 def tangle_batch(mats: np.ndarray) -> np.ndarray:
-    """Tangle of each matrix of a (..., 4, 4) stack, bit for bit tangle() on each slice.
+    """Tangle of each matrix of an (n, 4, 4) stack, bit for bit tangle() on each slice.
 
-    Raises NotHermitian or NotPSD if any matrix of the stack is not a state.
+    Validates the stack with states.validate_eigh: the first non-state raises validate_stack's error.
     """
-    c = _concurrences(_lambdas(mats))
-    return c * c
+    return tangle_eigh(*validate_eigh(mats)[1:])
 
 
 def tangle_eigh(w: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """tangle_batch of a validated stack from its eigh (w, v), bit for bit, without decomposing it again."""
-    c = _concurrences(_spin_flip_values(psd_root(w, v)))
+    """Tangles of a stack that states.validate_eigh accepted, from its eigh (w, v): the one tangle kernel."""
+    c = _concurrences(_spin_flip_values(w, v))
     return c * c

@@ -8,8 +8,9 @@ a vector normalization is unambiguous.
 
 Stacks have two validators with one check routine: validate_stack reads the
 PSD check from a stacked eigvalsh, and validate_eigh from a stacked eigh that
-it returns, so that the measuring path (frontier.scan_points) decomposes
-each sampled state once.
+it returns.  Every measuring path (frontier.scan_points, and
+measures.tangle_batch under every other tangle) validates with validate_eigh
+and measures from that eigh, so it decomposes each state once.
 """
 
 from __future__ import annotations

@@ -34,5 +34,17 @@ def rng():
     return rng_from(12345)
 
 
+@pytest.fixture
+def linalg_calls(monkeypatch):
+    """Counts of the test's np.linalg eigh/eigvalsh/svd calls, through the module attributes the library looks up."""
+    counts = dict.fromkeys(("eigh", "eigvalsh", "svd"), 0)
+    for name in counts:
+        def counted(*args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    return counts
+
+
 def assert_close(a, b, tol):
     assert abs(a - b) <= tol, f"|{a} - {b}| = {abs(a - b)} > {tol}"

@@ -443,6 +443,10 @@ FUZZED_FLAGS = {
     "points": (["curve", "--family", "werner", "--out"], _ints(2, 60, past=PAST_FLOAT)),
     "steps": (["concentrate", "--gamma", "0.5", "--out"], _ints(1, 40, past=PAST_FLOAT)),
 }
+# ensembles that ignore --eps and --mixture-size still reject their bad values
+UNUSED_ON = [["scan", "--ensemble", "ginibre", "--count", "20", "--out"],
+             ["certify", "--ensemble", "mems", "--count", "20"]]
+ALSO_FUZZED_ON = {"eps": UNUSED_ON, "mixture-size": UNUSED_ON}
 
 
 def run_captured(argv) -> tuple[int, str, str]:
@@ -463,6 +467,7 @@ def assert_usage_error(code, out, err):
 @settings(max_examples=25, deadline=None)
 def test_numeric_flag_exit_codes(flag, data):
     command, values = FUZZED_FLAGS[flag]
+    command = data.draw(st.sampled_from([command, *ALSO_FUZZED_ON.get(flag, [])]))
     value, valid = data.draw(values)
     with tempfile.TemporaryDirectory() as workdir:
         argv = [*command, os.path.join(workdir, "o.csv")] if command[-1] == "--out" else list(command)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import random_state
 from memslab.filtering import (
+    SUCCESS_FLOOR,
     TIE_RTOL,
     FilterOutcome,
     LocalFilter,
@@ -30,6 +31,7 @@ from memslab.states import (
     maximally_mixed,
     mems,
     pure_from_vector,
+    validate_stack,
     werner,
 )
 
@@ -356,11 +358,29 @@ def unchecked_start(kind):
     return DensityMatrix(mat=mat)
 
 
-@pytest.mark.parametrize("kind, error", [("not-psd", NotPSD), ("not-hermitian", NotHermitian),
-                                         ("hidden-not-psd", NotPSD), ("hidden-not-hermitian", NotHermitian)])
+UNCHECKED_KINDS = [("not-psd", NotPSD), ("not-hermitian", NotHermitian),
+                   ("hidden-not-psd", NotPSD), ("hidden-not-hermitian", NotHermitian)]
+
+
+@pytest.mark.parametrize("kind, error", UNCHECKED_KINDS)
 def test_best_filter_validates_every_filtered_state(kind, error):
     with pytest.raises(error):
         best_filter(unchecked_start(kind), 6)
+
+
+@pytest.mark.parametrize("kind, error", UNCHECKED_KINDS)
+def test_trajectory_validates_every_filtered_state(kind, error):
+    # the g = 6 grid: the kappa schedules keep the hidden defects within tolerance
+    schedule = [LocalFilter(*q) for q in itertools.product(np.arange(1, 7) / 6, repeat=4)]
+    start = unchecked_start(kind)
+    d = np.array([f.diagonal() for f in schedule])
+    probs = (d * d * start.mat.real.diagonal()).sum(axis=1)
+    d, probs = d[probs > SUCCESS_FLOOR], probs[probs > SUCCESS_FLOOR]
+    with pytest.raises(error) as expected:
+        validate_stack(d[:, :, None] * start.mat * d[:, None, :] / probs[:, None, None])
+    with pytest.raises(error) as raised:
+        trajectory(start, schedule)
+    assert (type(raised.value), str(raised.value)) == (type(expected.value), str(expected.value))
 
 
 def per_filter_trajectory(start, schedule):
@@ -405,6 +425,12 @@ def test_trajectory_matches_per_filter_loop(start, schedule):
     assert all(type(v) is float for p in points for v in (p.s_linear, p.tangle, p.success_prob))
     if start == "lopsided" and schedule == "deep-one-sided":
         assert 0 < len(points) < len(filters)  # some filters skipped, some kept
+
+
+def test_trajectory_decomposes_each_filtered_state_once(linalg_calls):
+    trajectory(TRAJECTORY_STARTS["mems(0.8)"], SCHEDULES["two-sided"])
+    # one eigh validates the stack and gives its roots, one SVD their spin-flip values
+    assert linalg_calls == {"eigh": 1, "eigvalsh": 0, "svd": 1}
 
 
 def test_trajectory_with_every_filter_skipped():

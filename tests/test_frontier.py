@@ -334,30 +334,16 @@ def test_eigenvalue_within_the_clamp_passes_every_check():
     assert len(next(scan_points([stack], LINEAR))[0]) == 5
 
 
-def _count_calls(monkeypatch):
-    """Count np.linalg eigh/eigvalsh/svd calls from now on, through the module attributes the library looks up."""
-    counts = dict.fromkeys(("eigh", "eigvalsh", "svd"), 0)
-    for name in counts:
-        def counted(*args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
-            counts[_name] += 1
-            return _fn(*args, **kwargs)
-        monkeypatch.setattr(np.linalg, name, counted)
-    return counts
-
-
-def test_certify_decomposes_each_stack_once(monkeypatch):
-    spec = EnsembleSpec(GinibreFull(), 300, seed=5)  # stacks of 128, 128 and 44
-    counts = _count_calls(monkeypatch)
-    certify(spec, 1e-9)
+def test_certify_decomposes_each_stack_once(linalg_calls):
+    certify(EnsembleSpec(GinibreFull(), 300, seed=5), 1e-9)  # stacks of 128, 128 and 44
     # one eigh and one SVD per stack; the one eigvalsh validates the witness (make_density)
-    assert counts == {"eigh": 3, "eigvalsh": 1, "svd": 3}
+    assert linalg_calls == {"eigh": 3, "eigvalsh": 1, "svd": 3}
 
 
-def test_vn_scan_cli_decomposes_each_stack_once(monkeypatch, tmp_path):
-    counts = _count_calls(monkeypatch)
+def test_vn_scan_cli_decomposes_each_stack_once(linalg_calls, tmp_path):
     assert cli.run(["scan", "--metric", "vn", "--count", "300", "--out", str(tmp_path / "vn.csv")]) == 0
     # one eigh (validation and root), one SVD and the entropy's eigvalsh per stack
-    assert counts == {"eigh": 3, "eigvalsh": 3, "svd": 3}
+    assert linalg_calls == {"eigh": 3, "eigvalsh": 3, "svd": 3}
 
 
 class TestHillClimb:

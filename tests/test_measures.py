@@ -35,6 +35,8 @@ from memslab.sampling import EnsembleSpec, GinibreRank, PerturbAbout, PureMixtur
 from memslab.states import (
     AnsatzParams,
     BellKind,
+    DensityMatrix,
+    TraceNotOne,
     ansatz,
     bell,
     digest,
@@ -276,21 +278,37 @@ def test_tangle_batch_matches_scalar():
     mats = kernel_states()
     scalar = np.array([tangle_of_mat(m) for m in mats])
     assert np.array_equal(tangle_batch(mats), scalar)
-    assert np.array_equal(tangle_batch(mats.reshape(-1, 2, 4, 4)), scalar.reshape(-1, 2))
-    # a single unstacked matrix and an empty stack are (..., 4, 4) cases too
-    assert tangle_batch(mats[0]) == scalar[0]
     assert tangle_batch(mats[:0]).shape == (0,)
+    # only (n, 4, 4) stacks: a stack of stacks and a single unstacked matrix are rejected
+    with pytest.raises(ValueError):
+        tangle_batch(mats.reshape(-1, 2, 4, 4))
+    with pytest.raises(ValueError):
+        tangle_batch(mats[0])
 
 
 @pytest.mark.parametrize("bad, error", [
     (np.diag([0.5, 0.5, 0.1, -0.1]).astype(complex), NotPSD),
     (np.diag([0.25] * 4).astype(complex) + np.diag([0.1j], 3), NotHermitian),
+    (2 * np.diag([0.25] * 4).astype(complex), TraceNotOne),
 ])
 def test_tangle_batch_rejects_a_non_state_in_the_stack(bad, error):
     mats = kernel_states()
     mats[5] = bad
     with pytest.raises(error):
         tangle_batch(mats)
+    with pytest.raises(error):
+        tangle_of_mat(bad)
+    with pytest.raises(error):
+        concurrence(DensityMatrix(mat=bad))  # built without make_density
+
+
+MEMS_08 = mems(0.8)  # built before linalg_calls starts counting
+
+
+def test_tangle_decomposes_the_state_once(linalg_calls):
+    assert tangle(MEMS_08) == pytest.approx(0.64, abs=1e-12)
+    # one eigh validates the state and gives its root, one SVD its spin-flip values
+    assert linalg_calls == {"eigh": 1, "eigvalsh": 0, "svd": 1}
 
 
 def reference_von_neumann(mat):
