@@ -45,8 +45,9 @@ def _row_format(header: str) -> str:
 
 
 def _write_csv(path: str, header: str, rows) -> None:
+    """Write ``header`` and one "%.12g" row per item of ``rows`` to ``path``, overwriting any file there in place."""
     row_format = _row_format(header)
-    with open(path, "w", encoding="ascii", newline="\n") as handle:
+    with states.overwrite(path) as handle:
         handle.write(header + "\n")
         for row in rows:
             handle.write(row_format % tuple(row))
@@ -146,11 +147,12 @@ def _envelope_path(out: str) -> str:
 def _streamed_points(path: str, stacks: Iterator[frontier.ScanStack]) -> Iterator[frontier.ScanStack]:
     """Pass scan stacks through, writing each one's tangle,mixedness rows to ``path``.
 
-    The file is created when the first stack is requested.
+    The file is created, or overwritten in place, when the first stack is
+    requested, and cut to the rows written when the stream ends or stops.
     """
     header = "tangle,mixedness"
     row_format = _row_format(header)
-    with open(path, "w", encoding="ascii", newline="\n") as handle:
+    with states.overwrite(path) as handle:
         handle.write(header + "\n")
         for stack in stacks:
             handle.write("".join([row_format % row for row in zip(stack[0].tolist(), stack[1].tolist())]))

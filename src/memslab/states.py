@@ -15,9 +15,13 @@ and measures from that eigh, so it decomposes each state once.
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import hashlib
+import os
+import stat
 from dataclasses import dataclass
+from typing import Iterator, TextIO
 
 import numpy as np
 
@@ -274,8 +278,29 @@ def parse_matrix(text: str) -> np.ndarray:
     return as_cmat(rows)
 
 
+@contextlib.contextmanager
+def overwrite(path) -> Iterator[TextIO]:
+    """An ASCII text handle that writes ``path`` from its start, in place, cut to length when writing stops.
+
+    The file is opened without O_TRUNC, so an existing file is never cut to
+    length 0: ext4 (auto_da_alloc) flushes a file so truncated to disk when
+    it is closed, and each write would wait on the disk.
+    When the block exits, by return or by exception, a regular file is cut
+    at the handle's position, so it holds exactly the bytes written, as with
+    open(path, "w"); pipes and devices are left uncut.  A process killed
+    mid-write can leave the old file's tail after the new bytes.
+    """
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", encoding="ascii", newline="\n") as handle:
+        try:
+            yield handle
+        finally:
+            if stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
+                handle.truncate()
+
+
 def write_matrix_file(path, mat) -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as handle:
+    """Write ``mat`` to ``path`` in the text matrix format, overwriting any file there in place."""
+    with overwrite(path) as handle:
         handle.write(format_matrix(mat))
 
 

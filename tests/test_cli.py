@@ -1,3 +1,4 @@
+import builtins
 import contextlib
 import hashlib
 import io
@@ -383,6 +384,89 @@ class TestConcentrate:
                        "--out", str(tmp_path / "x.csv")) == 2
 
 
+# one run of each command that writes files, with the files it writes into its --out directory
+OUTPUT_RUNS = {
+    "scan": (["scan", "--ensemble", "perturb-mems", "--count", "300", "--seed", "3", "--bins", "20"],
+             ("out.csv", "out_envelope.csv")),
+    "curve": (["curve", "--family", "werner", "--points", "7"], ("out.csv",)),
+    "concentrate": (["concentrate", "--gamma", "0.6", "--steps", "9"], ("out.csv",)),
+}
+
+
+class TestOutputFiles:
+    """Outputs are overwritten in place and cut where writing stops, never truncated to length 0 on open."""
+
+    @pytest.mark.parametrize("command", sorted(OUTPUT_RUNS))
+    def test_write_over_longer_files_matches_a_fresh_write(self, tmp_path, command):
+        argv, names = OUTPUT_RUNS[command]
+        fresh, used = tmp_path / "fresh", tmp_path / "used"
+        fresh.mkdir()
+        used.mkdir()
+        for name in names:
+            (used / name).write_text("x" * 10_000)
+        assert run_cli(*argv, "--out", str(fresh / "out.csv")) == 0
+        assert run_cli(*argv, "--out", str(used / "out.csv")) == 0
+        for name in names:
+            assert (used / name).read_bytes() == (fresh / name).read_bytes(), name
+
+    def test_a_scan_stopped_by_an_error_leaves_the_rows_written_so_far(self, tmp_path, monkeypatch):
+        fresh, out = tmp_path / "fresh.csv", tmp_path / "stopped.csv"
+        out.write_text("x" * 10_000)
+        assert run_cli("scan", "--count", "100", "--seed", "3", "--out", str(fresh)) == 0  # one stack
+        scan_points = frontier.scan_points
+
+        def fail_after_the_stacks(mats, metric):
+            yield from scan_points(mats, metric)
+            raise states.OutOfRange("stopped after the last stack")
+
+        monkeypatch.setattr(frontier, "scan_points", fail_after_the_stacks)
+        assert run_cli("scan", "--count", "100", "--seed", "3", "--out", str(out)) == 2
+        assert out.read_bytes() == fresh.read_bytes()
+
+    def test_curve_into_dev_null(self):
+        assert run_cli("curve", "--family", "mems", "--points", "5", "--out", os.devnull) == 0
+
+    def test_a_hard_linked_output_keeps_its_inode(self, tmp_path):
+        fresh, out, link = tmp_path / "fresh.csv", tmp_path / "out.csv", tmp_path / "link.csv"
+        out.write_text("x" * 10_000)
+        os.link(out, link)
+        inode = out.stat().st_ino
+        assert run_cli("curve", "--family", "mems", "--points", "5", "--out", str(fresh)) == 0
+        assert run_cli("curve", "--family", "mems", "--points", "5", "--out", str(out)) == 0
+        assert out.stat().st_ino == inode
+        assert out.read_bytes() == link.read_bytes() == fresh.read_bytes()
+
+    def test_no_output_is_opened_with_o_trunc(self, tmp_path, monkeypatch):
+        # ext4 flushes a file truncated to length 0 when it is closed: each job would wait on the disk
+        flags_by_path, write_opens = {}, []
+        real_os_open, real_open = os.open, builtins.open
+
+        def recording_os_open(path, flags, *args, **kwargs):
+            flags_by_path[os.fspath(path)] = flags
+            return real_os_open(path, flags, *args, **kwargs)
+
+        def recording_open(file, mode="r", *args, **kwargs):
+            if not isinstance(file, int) and set(mode) & set("wax+"):
+                write_opens.append((file, mode))
+            return real_open(file, mode, *args, **kwargs)
+
+        outputs = set()
+        for command, (argv, names) in OUTPUT_RUNS.items():
+            (tmp_path / command).mkdir()
+            for name in names:
+                (tmp_path / command / name).write_text("x" * 10_000)
+                outputs.add(str(tmp_path / command / name))
+        monkeypatch.setattr(os, "open", recording_os_open)  # the os.open the writer calls
+        monkeypatch.setattr(builtins, "open", recording_open)
+        codes = [run_cli(*argv, "--out", str(tmp_path / command / "out.csv"))
+                 for command, (argv, _) in OUTPUT_RUNS.items()]
+        monkeypatch.undo()
+        assert codes == [0] * len(OUTPUT_RUNS)
+        assert write_opens == []
+        assert outputs <= set(flags_by_path)
+        assert not any(flags_by_path[path] & os.O_TRUNC for path in outputs)
+
+
 HUGE = str(10**400)  # past float and index range: rejected before anything is allocated
 PAST_KEYS = str((CHUNK << 64) + 1)  # more than 2^64 chunks: the 64-bit chunk keys would repeat
 UNALLOCATABLE = str(10**15)  # float- and index-sized, but its 8 PB kappa schedule fails to allocate before any work
@@ -543,6 +627,16 @@ class TestProcessLevel:
             capture_output=True, text=True, env=module_env())
         assert result.returncode == 0, result.stderr
         assert out.exists()
+
+    def test_curve_into_a_pipe(self, tmp_path):
+        # a pipe cannot be cut: its bytes are the file's, and the run exits 0
+        out = tmp_path / "curve.csv"
+        assert run_cli("curve", "--family", "mems", "--points", "5", "--out", str(out)) == 0
+        result = subprocess.run(
+            [sys.executable, "-m", "memslab", "curve", "--family", "mems", "--points", "5", "--out", "/dev/stdout"],
+            capture_output=True, env=module_env())
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == out.read_bytes()
 
     def test_help_exits_zero(self):
         result = subprocess.run([sys.executable, "-m", "memslab", "--help"],

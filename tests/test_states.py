@@ -21,6 +21,7 @@ from memslab.states import (
     maximally_mixed,
     mems,
     mems_population,
+    overwrite,
     parse_matrix,
     pure_from_vector,
     read_matrix_file,
@@ -279,11 +280,29 @@ class TestTextFormat:
         with pytest.raises(ValueError):
             parse_matrix(text)
 
+    def test_write_over_a_longer_file_matches_a_fresh_write(self, tmp_path):
+        fresh, used = tmp_path / "fresh.mat", tmp_path / "used.mat"
+        used.write_text("x" * 10_000)
+        write_matrix_file(fresh, mems(0.3).mat)
+        write_matrix_file(used, mems(0.3).mat)
+        assert used.read_bytes() == fresh.read_bytes()
+
     def test_format_is_line_per_row(self):
         text = format_matrix(np.eye(4, dtype=complex) / 4)
         lines = [l for l in text.splitlines() if l.strip()]
         assert len(lines) == 4
         assert all(len(line.split()) == 4 for line in lines)
+
+
+def test_an_exception_in_the_writer_leaves_the_bytes_written_so_far(tmp_path):
+    # the partial file open(path, "w") leaves: no byte of the longer file it replaces survives
+    path = tmp_path / "partial.csv"
+    path.write_text("x" * 10_000)
+    with pytest.raises(RuntimeError):
+        with overwrite(path) as handle:
+            handle.write("a,b\n1,2\n")
+            raise RuntimeError("stopped mid-write")
+    assert path.read_bytes() == b"a,b\n1,2\n"
 
 
 def test_population_branches():
