@@ -283,12 +283,15 @@ def overwrite(path) -> Iterator[TextIO]:
     """An ASCII text handle that writes ``path`` from its start, in place, cut to length when writing stops.
 
     The file is opened without O_TRUNC, so an existing file is never cut to
-    length 0: ext4 (auto_da_alloc) flushes a file so truncated to disk when
-    it is closed, and each write would wait on the disk.
+    length 0: ext4 (auto_da_alloc) flushes an already written file so
+    truncated to disk when it is closed, and rewriting an existing, non-empty
+    file would wait on the disk.  A fresh path was never truncated.
     When the block exits, by return or by exception, a regular file is cut
     at the handle's position, so it holds exactly the bytes written, as with
-    open(path, "w"); pipes and devices are left uncut.  A process killed
-    mid-write can leave the old file's tail after the new bytes.
+    open(path, "w"); pipes and devices are left uncut.  Any end that skips
+    Python's cleanup (SIGTERM, SIGKILL, an OOM kill, a crash or power loss)
+    skips the cut: the old file's tail, possibly starting mid-line, stays
+    after the new bytes, and the result can parse as a valid file.
     """
     with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", encoding="ascii", newline="\n") as handle:
         try:

@@ -437,7 +437,7 @@ class TestOutputFiles:
         assert out.read_bytes() == link.read_bytes() == fresh.read_bytes()
 
     def test_no_output_is_opened_with_o_trunc(self, tmp_path, monkeypatch):
-        # ext4 flushes a file truncated to length 0 when it is closed: each job would wait on the disk
+        # ext4 flushes a written file truncated to length 0 when it is closed: rewriting an output would wait on the disk
         flags_by_path, write_opens = {}, []
         real_os_open, real_open = os.open, builtins.open
 
