@@ -22,7 +22,7 @@ import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
-from memslab import cli
+from memslab import cli, states
 
 
 def main() -> int:
@@ -64,7 +64,8 @@ def main() -> int:
     with redirect_stdout(buffer):
         code = cli.run(["certify", "--count", str(args.certify_count),
                         "--seed", str(args.seed + 2), "--tolerance", "1e-9"])
-    (outdir / "certification.txt").write_text(buffer.getvalue())
+    with states.overwrite(outdir / "certification.txt") as handle:  # in place, as the CLI writes its files
+        handle.write(buffer.getvalue())
     print(buffer.getvalue().strip())
     if code != 0:
         print("certification FAILED", file=sys.stderr)

@@ -48,21 +48,17 @@ from .measures import (
 )
 from .sampling import (
     EnsembleSpec,
-    GinibreFull,
     GinibreRank,
     PerturbAbout,
     PureMixture,
     sample_states,
 )
 from .states import (
-    AnsatzParams,
     BellKind,
     DensityMatrix,
-    NormalizationViolated,
     OutOfRange,
     TraceNotOne,
     ZeroVector,
-    ansatz,
     bell,
     make_density,
     maximally_mixed,

@@ -22,6 +22,8 @@ USAGE_ERROR = 2
 CERTIFY_FAIL = 3
 
 FAMILIES = ("werner", "mems", "bell-phi+", "bell-phi-", "bell-psi+", "bell-psi-", "mixed")
+ENSEMBLES = ("ginibre", "ginibre-rank1", "ginibre-rank2", "ginibre-rank3", "ginibre-rank4",
+             "pure-mixture", "perturb-mems")  # the sampled ensembles; certify also takes mems
 
 _BELL_BY_NAME = {
     "bell-phi+": states.BellKind.PHI_PLUS,
@@ -92,10 +94,9 @@ def cmd_curve(args) -> int:
 def _ensemble_specs(args) -> list[sampling.EnsembleSpec]:
     """Resolve --ensemble into one or more sampling specs (count preserved)."""
     name = args.ensemble
-    if name == "ginibre":
-        return [sampling.EnsembleSpec(sampling.GinibreFull(), args.count, args.seed)]
-    if name.startswith("ginibre-rank"):
-        return [sampling.EnsembleSpec(sampling.GinibreRank(int(name[-1])), args.count, args.seed)]
+    if name.startswith("ginibre"):
+        rank = 4 if name == "ginibre" else int(name[-1])  # ginibre is full rank: ginibre-rank4's states
+        return [sampling.EnsembleSpec(sampling.GinibreRank(rank), args.count, args.seed)]
     if name == "pure-mixture":
         return [sampling.EnsembleSpec(sampling.PureMixture(args.mixture_size), args.count, args.seed)]
     if name == "perturb-mems":
@@ -122,7 +123,7 @@ def _ensemble_states(args) -> Iterator[np.ndarray]:
     """
     if args.count < 1:
         raise states.OutOfRange(f"--count {args.count} must be at least 1")
-    if args.count > sampling.CHUNK << 64:  # chunk keys are 64-bit: past this the stream repeats
+    if args.count > sampling.MAX_COUNT:  # checked here too: the mems ensemble builds no EnsembleSpec
         raise states.OutOfRange(f"--count {args.count} exceeds 2^64 chunks of {sampling.CHUNK}")
     if not 0 <= args.seed < 1 << 64:
         raise states.OutOfRange(f"--seed {args.seed} outside [0, 2^64)")
@@ -209,18 +210,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_curve)
 
     p = sub.add_parser("scan", parents=[sampled], help="sample an ensemble; emit raw points and per-bin maxima")
-    p.add_argument("--ensemble", default="ginibre",
-                   choices=("ginibre", "ginibre-rank1", "ginibre-rank2", "ginibre-rank3",
-                            "ginibre-rank4", "pure-mixture", "perturb-mems"))
+    p.add_argument("--ensemble", default="ginibre", choices=ENSEMBLES)
     p.add_argument("--bins", type=int, default=100)
     p.add_argument("--metric", choices=("linear", "vn"), default="linear")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("certify", parents=[sampled], help="search an ensemble for states beating the envelope")
-    p.add_argument("--ensemble", default="ginibre",
-                   choices=("ginibre", "ginibre-rank1", "ginibre-rank2", "ginibre-rank3",
-                            "ginibre-rank4", "pure-mixture", "perturb-mems", "mems"))
+    p.add_argument("--ensemble", default="ginibre", choices=ENSEMBLES + ("mems",))
     p.add_argument("--tolerance", type=float, default=1e-9)
     p.set_defaults(func=cmd_certify)
 

@@ -6,14 +6,15 @@ function of (kind, count, seed).  The stream is cut into chunks of CHUNK
 states; chunk ``i`` is drawn from a counter-based Philox generator keyed by
 ``seed XOR splitmix64(i)``, so its states depend only on (kind, seed, i, its
 size) and any chunk can be regenerated on its own with generate_chunk
-(chunk_generator builds its generator afresh).  A stream builds one
-generator and re-keys it as each chunk starts, which leaves it in the state
-of a freshly built one.  Each state's draws come from its chunk's generator
-state by state, in stream order, and the arithmetic that turns draws into
-states (Wishart product, unit trace, perturbation mix) is elementwise or per
-state; it runs once per stack over each run of pieces of one draw shape.
-So how the draws are cut into stacks does not change which states a seed
-gives.
+(chunk_generator builds its generator afresh).  A stream holds at most
+MAX_COUNT states, 2^64 chunks, so no two of its chunks share a key.  It
+builds one generator and re-keys it as each chunk starts, which leaves it
+in the state of a freshly built one.  Each state's draws come from its
+chunk's generator state by state, in stream order, and the arithmetic that
+turns draws into states (Wishart product, unit trace, perturbation mix) is
+elementwise or per state; it runs once per stack over each run of pieces of
+one draw shape.  So how the draws are cut into stacks does not change
+which states a seed gives.
 
 sample_states(*specs) is one stream over the specs' chunks in order: it
 cuts them into stacks of BLOCK states (the last may be shorter) that run
@@ -36,6 +37,7 @@ from .states import DensityMatrix, OutOfRange
 from .states import make_density  # not called here: bench/spans.py binds sampling.make_density
 
 CHUNK = 1024
+MAX_COUNT = CHUNK << 64  # 2^64 chunks: past this a chunk's 64-bit key repeats an earlier chunk's
 BLOCK = 128  # states drawn, validated and measured together; bounds the temporaries
 
 _MASK64 = (1 << 64) - 1
@@ -69,13 +71,8 @@ def chunk_generator(seed: int, index: int) -> np.random.Generator:
 
 
 @dataclass(frozen=True)
-class GinibreFull:
-    """Full-rank states rho = G G^dag / Tr, G a 4x4 complex Gaussian matrix."""
-
-
-@dataclass(frozen=True)
 class GinibreRank:
-    """Rank-k states from a 4xk complex Gaussian factor, k in 1..4."""
+    """Rank-k states G G^dag / Tr from a 4xk complex Gaussian factor G, k in 1..4; rank 4 is Hilbert-Schmidt."""
 
     rank: int
 
@@ -107,7 +104,7 @@ class PerturbAbout:
             raise OutOfRange(f"perturbation eps={self.eps} outside (0, 1]")
 
 
-EnsembleKind = Union[GinibreFull, GinibreRank, PureMixture, PerturbAbout]
+EnsembleKind = Union[GinibreRank, PureMixture, PerturbAbout]
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,6 +118,8 @@ class EnsembleSpec:
     def __post_init__(self):
         if self.count < 1:
             raise OutOfRange(f"sample count {self.count} must be >= 1")
+        if self.count > MAX_COUNT:
+            raise OutOfRange(f"sample count {self.count} exceeds 2^64 chunks of {CHUNK}")
         if not 0 <= self.seed <= _MASK64:
             raise OutOfRange("seed must fit in 64 unsigned bits")
 
@@ -187,8 +186,6 @@ Piece = tuple[Callable[..., np.ndarray], tuple[np.ndarray, ...]]  # (assembly, d
 
 def _piece(kind: EnsembleKind, rng: np.random.Generator, n: int) -> Piece:
     """The draws of n states of ``kind`` from ``rng``, in per-state order, and the function that assembles them."""
-    if isinstance(kind, GinibreFull):
-        return _ginibre, (rng.standard_normal((n, 2, 4, 4)),)
     if isinstance(kind, GinibreRank):
         return _ginibre, (rng.standard_normal((n, 2, 4, kind.rank)),)
     if isinstance(kind, PureMixture):

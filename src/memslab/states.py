@@ -28,7 +28,6 @@ import numpy as np
 from .linalg import HERM_TOL, PSD_CLAMP, NotHermitian, NotPSD, as_cmat, herm_defect
 
 TRACE_TOL = 1e-10
-NORM_TOL = 1e-12  # budget for the population/coherence sum of AnsatzParams
 
 
 class TraceNotOne(ValueError):
@@ -41,10 +40,6 @@ class OutOfRange(ValueError):
 
 class ZeroVector(ValueError):
     """A state vector with vanishing norm cannot be normalized."""
-
-
-class NormalizationViolated(ValueError):
-    """Ansatz populations and coherence weight do not sum to one."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,45 +188,6 @@ def mems(gamma: float) -> DensityMatrix:
     mat[3, 3] = g
     mat[0, 3] = gamma / 2.0
     mat[3, 0] = gamma / 2.0
-    return make_density(mat)
-
-
-@dataclass(frozen=True)
-class AnsatzParams:
-    """Diagonal-plus-coherence parametrization (x, y, a, b, gamma).
-
-    x and y pad the outer populations, a and b are the inner populations,
-    and gamma is the |00><11| coherence weight.  All five are non-negative
-    and sum to one (within NORM_TOL).
-    """
-
-    x: float
-    y: float
-    a: float
-    b: float
-    gamma: float
-
-    def __post_init__(self):
-        for name in ("x", "y", "a", "b", "gamma"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise OutOfRange(f"ansatz parameter {name}={value} outside [0, 1]")
-        total = self.x + self.y + self.a + self.b + self.gamma
-        if abs(total - 1.0) > NORM_TOL:
-            raise NormalizationViolated(
-                f"|x + y + a + b + gamma - 1| = {abs(total - 1.0):.3e} exceeds {NORM_TOL:.0e}"
-            )
-
-
-def ansatz(params: AnsatzParams) -> DensityMatrix:
-    """Diagonal (x + gamma/2, a, b, y + gamma/2) with corner coherences gamma/2."""
-    mat = np.zeros((4, 4), dtype=np.complex128)
-    mat[0, 0] = params.x + params.gamma / 2.0
-    mat[1, 1] = params.a
-    mat[2, 2] = params.b
-    mat[3, 3] = params.y + params.gamma / 2.0
-    mat[0, 3] = params.gamma / 2.0
-    mat[3, 0] = params.gamma / 2.0
     return make_density(mat)
 
 

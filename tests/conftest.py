@@ -15,6 +15,13 @@ def random_state(seed: int, rank: int = 4):
     return make_density(w / np.trace(w).real)
 
 
+def x_state(x, y, a, b, gamma):
+    """The validated X state diag(x + gamma/2, a, b, y + gamma/2) with |00><11| coherences gamma/2."""
+    mat = np.diag([x + gamma / 2, a, b, y + gamma / 2]).astype(np.complex128)
+    mat[0, 3] = mat[3, 0] = gamma / 2
+    return make_density(mat)
+
+
 def sampled_states(spec):
     """The states of sample_states(spec) one DensityMatrix at a time, in stream order."""
     return (make_density(mat) for mats in sample_states(spec) for mat in mats)

@@ -4,6 +4,7 @@ import hashlib
 import io
 import math
 import os
+import runpy
 import subprocess
 import sys
 import tempfile
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 import memslab
 from memslab import cli, frontier, sampling, states
 from memslab.measures import MeasureReport
-from memslab.sampling import CHUNK, EnsembleSpec, GinibreFull, GinibreRank
+from memslab.sampling import CHUNK, EnsembleSpec, GinibreRank
 from memslab.states import (digest, format_matrix, make_density, maximally_mixed, mems, read_matrix_file, werner,
                             write_matrix_file)
 
@@ -161,7 +162,7 @@ class TestScan:
 
     def test_bins_far_past_the_sample_count(self, tmp_path):
         # 10^18 bins, float-sized: only the occupied ones are held, one envelope row each
-        bins, spec, linear = 10**18, EnsembleSpec(GinibreFull(), 200, seed=1), frontier.MixednessMetric.LINEAR
+        bins, spec, linear = 10**18, EnsembleSpec(GinibreRank(4), 200, seed=1), frontier.MixednessMetric.LINEAR
         assert run_cli("scan", "--count", "200", "--seed", "1", "--bins", str(bins),
                        "--out", str(tmp_path / "sparse.csv")) == 0
         env = frontier.scan(spec, linear, bins)
@@ -203,6 +204,14 @@ class TestScan:
         mixedness = [float(r.split(",")[1]) for r in rows]
         assert all(0.0 <= m <= 1.0 for m in mixedness)
 
+    @pytest.mark.parametrize("metric", ["linear", "vn"])
+    def test_ginibre_is_ginibre_rank4(self, tmp_path, metric):
+        for name in ("ginibre", "ginibre-rank4"):  # 1030 states: stacks that cross a CHUNK edge
+            assert run_cli("scan", "--ensemble", name, "--metric", metric, "--count", "1030", "--seed", "3",
+                           "--bins", "20", "--out", str(tmp_path / f"{name}.csv")) == 0
+        for suffix in (".csv", "_envelope.csv"):
+            assert (tmp_path / f"ginibre{suffix}").read_bytes() == (tmp_path / f"ginibre-rank4{suffix}").read_bytes()
+
     def test_unknown_flag_rejected(self, tmp_path):
         assert run_cli("scan", "--count", "10", "--out", str(tmp_path / "x.csv"),
                        "--frobnicate") == 2
@@ -224,6 +233,13 @@ class TestCertify:
         assert run_cli("certify", "--ensemble", "mems", "--count", "1") == 0
         report = parse_kv(capsys.readouterr().out)
         assert abs(float(report["max_violation"])) <= 1e-12
+
+    def test_ginibre_is_ginibre_rank4(self, capsys):
+        printed = []
+        for name in ("ginibre", "ginibre-rank4"):
+            assert run_cli("certify", "--ensemble", name, "--count", "1030", "--seed", "3") == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1]
 
     def test_negative_tolerance(self):
         assert run_cli("certify", "--count", "10", "--tolerance", "-1") == 2
@@ -466,6 +482,27 @@ class TestOutputFiles:
         assert outputs <= set(flags_by_path)
         assert not any(flags_by_path[path] & os.O_TRUNC for path in outputs)
 
+    def test_figure_script_rewrites_its_certification_in_place(self, tmp_path, monkeypatch, capsys):
+        script = Path(__file__).resolve().parents[1] / "scripts" / "make_figure_data.py"
+        cert, flags_by_path, real_os_open = tmp_path / "certification.txt", {}, os.open
+        cert.write_text("x" * 10_000)
+
+        def recording_os_open(path, flags, *args, **kwargs):
+            flags_by_path[os.fspath(path)] = flags
+            return real_os_open(path, flags, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", recording_os_open)
+        monkeypatch.setattr(sys, "argv", [str(script), "--count", "20", "--certify-count", "20",
+                                          "--outdir", str(tmp_path)])
+        with pytest.raises(SystemExit) as done:
+            runpy.run_path(str(script), run_name="__main__")
+        monkeypatch.undo()
+        assert done.value.code == 0
+        assert not flags_by_path[str(cert)] & os.O_TRUNC
+        capsys.readouterr()
+        assert run_cli("certify", "--count", "20", "--seed", "9", "--tolerance", "1e-9") == 0  # the script's seed 7 + 2
+        assert cert.read_text() == capsys.readouterr().out
+
 
 HUGE = str(10**400)  # past float and index range: rejected before anything is allocated
 PAST_KEYS = str((CHUNK << 64) + 1)  # more than 2^64 chunks: the 64-bit chunk keys would repeat
@@ -491,6 +528,12 @@ def test_oversized_integer_flag_is_a_usage_error(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not any(tmp_path.iterdir())  # not even the --out header line
+
+
+@pytest.mark.parametrize("ensemble", ["ginibre", "mems"])  # the CLI checks mems, which builds no EnsembleSpec
+def test_count_past_the_chunk_keys_names_the_flag(capsys, ensemble):
+    assert run_cli("certify", "--ensemble", ensemble, "--count", PAST_KEYS) == 2
+    assert capsys.readouterr().err == f"error: --count {PAST_KEYS} exceeds 2^64 chunks of {CHUNK}\n"
 
 
 # Exit-code fuzzing of the numeric flags.  Each strategy draws (value, valid) pairs, and

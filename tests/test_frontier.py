@@ -27,7 +27,7 @@ from memslab.frontier import (
 from memslab.linalg import psd_sqrt
 from memslab.measures import (linear_entropy, linear_entropy_of_mat, tangle, tangle_batch, tangle_of_mat,
                               von_neumann_batch, von_neumann_entropy)
-from memslab.sampling import (BLOCK, EnsembleSpec, GinibreFull, GinibreRank, PerturbAbout, PureMixture,
+from memslab.sampling import (BLOCK, EnsembleSpec, GinibreRank, PerturbAbout, PureMixture,
                               sample_states, splitmix64, wishart)
 from memslab.states import OutOfRange, make_density, mems, validate_stack, werner
 
@@ -136,13 +136,13 @@ class TestDominance:
 
 class TestScan:
     def test_single_sample_single_bin(self):
-        env = scan(EnsembleSpec(GinibreFull(), 1, seed=3), LINEAR, bins=32)
+        env = scan(EnsembleSpec(GinibreRank(4), 1, seed=3), LINEAR, bins=32)
         assert env.samples_total == 1
         assert len(env.bins) == 1
         assert env.bins[0].count == 1
 
     def test_bins_respect_envelope(self):
-        env = scan(EnsembleSpec(GinibreFull(), 30_000, seed=9), LINEAR, bins=100)
+        env = scan(EnsembleSpec(GinibreRank(4), 30_000, seed=9), LINEAR, bins=100)
         assert env.samples_total == 30_000
         for stat in env.bins:
             assert stat.max_tangle <= envelope_tangle(LINEAR, stat.hi) + 1e-9
@@ -157,7 +157,7 @@ class TestScan:
         assert best >= envelope_tangle(LINEAR, target) - 0.02
 
     def test_vn_metric_supported(self):
-        env = scan(EnsembleSpec(GinibreFull(), 500, seed=5),
+        env = scan(EnsembleSpec(GinibreRank(4), 500, seed=5),
                    MixednessMetric.VON_NEUMANN_NORMALIZED, bins=20)
         assert env.samples_total == 500
         for stat in env.bins:
@@ -166,7 +166,7 @@ class TestScan:
     def test_bin_count_validated(self):
         for bins in (5, 0, -3):
             with pytest.raises(OutOfRange):
-                scan(EnsembleSpec(GinibreFull(), 10, seed=1), LINEAR, bins=bins)
+                scan(EnsembleSpec(GinibreRank(4), 10, seed=1), LINEAR, bins=bins)
 
     def test_deterministic(self):
         spec = EnsembleSpec(GinibreRank(3), 2000, seed=123)
@@ -177,7 +177,7 @@ class TestScan:
 
 class TestCertify:
     def test_ginibre_passes(self):
-        report = certify(EnsembleSpec(GinibreFull(), 10_000, seed=1), tolerance=1e-9)
+        report = certify(EnsembleSpec(GinibreRank(4), 10_000, seed=1), tolerance=1e-9)
         assert report.passed
         assert report.max_violation <= 1e-9
         assert report.samples_total == 10_000
@@ -198,7 +198,7 @@ class TestCertify:
     def test_tolerance_validated(self):
         for tolerance in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(OutOfRange):
-                certify(EnsembleSpec(GinibreFull(), 1, seed=0), tolerance=tolerance)
+                certify(EnsembleSpec(GinibreRank(4), 1, seed=0), tolerance=tolerance)
             with pytest.raises(OutOfRange):
                 certify_states([mems(0.1).mat[None]], tolerance=tolerance)
 
@@ -219,7 +219,7 @@ def test_witnesses_are_first_to_reach_maximum_across_blocks():
     # 300 full-rank states fill blocks of 128, 128 and 44.  Every 7th is swapped for a
     # separable Werner state past S_L = 8/9 (tangle 0, envelope 0), so violation 0 is the
     # largest and ties in every block; the top bin's maximum, 0, is reached in every block.
-    spec = EnsembleSpec(GinibreFull(), 300, seed=21)
+    spec = EnsembleSpec(GinibreRank(4), 300, seed=21)
     mats = np.concatenate(list(sample_states(spec)))
     mats[::7] = [werner(0.3 * j / 43).mat for j in range(43)]
     stacks = [mats[i:i + BLOCK] for i in range(0, len(mats), BLOCK)]
@@ -254,7 +254,7 @@ def test_witnesses_are_first_to_reach_maximum_across_blocks():
 
 # every ensemble kind, on both sides of the BLOCK (128) edge, and the 19-part perturb-mems stream
 ONE_EIGH_KINDS = {
-    "GinibreFull": GinibreFull(),
+    "GinibreFull": GinibreRank(4),  # the full-rank (Hilbert-Schmidt) states, under their long-standing label
     **{f"GinibreRank({k})": GinibreRank(k) for k in (1, 2, 3, 4)},
     "PureMixture(4)": PureMixture(4),
     "PerturbAbout(mems(0.6))": PerturbAbout(mems(0.6), 0.05),
@@ -335,7 +335,7 @@ def test_eigenvalue_within_the_clamp_passes_every_check():
 
 
 def test_certify_decomposes_each_stack_once(linalg_calls):
-    certify(EnsembleSpec(GinibreFull(), 300, seed=5), 1e-9)  # stacks of 128, 128 and 44
+    certify(EnsembleSpec(GinibreRank(4), 300, seed=5), 1e-9)  # stacks of 128, 128 and 44
     # one eigh and one SVD per stack; the one eigvalsh validates the witness (make_density)
     assert linalg_calls == {"eigh": 3, "eigvalsh": 1, "svd": 3}
 

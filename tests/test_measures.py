@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_local_unitary, random_state
+from conftest import random_local_unitary, random_state, x_state
 from memslab.linalg import NotHermitian, NotPSD
 from memslab.measures import (
     SPIN_FLIP_MAT,
@@ -33,11 +33,9 @@ from memslab import cli
 from memslab.filtering import apply_filter, kappa_schedule, one_sided_filter, trajectory, two_sided_filter
 from memslab.sampling import EnsembleSpec, GinibreRank, PerturbAbout, PureMixture, sample_states
 from memslab.states import (
-    AnsatzParams,
     BellKind,
     DensityMatrix,
     TraceNotOne,
-    ansatz,
     bell,
     digest,
     make_density,
@@ -240,17 +238,15 @@ class TestAnsatzClosedForms:
         # stay numerically clear of the PSD boundary where the spin-flip
         # spectrum develops sqrt-kinks
         assume((x + gamma / 2) * (y + gamma / 2) - (gamma / 2) ** 2 > 1e-8)
-        params = AnsatzParams(x=x, y=y, a=a, b=b, gamma=gamma)
-        state = ansatz(params)
+        state = x_state(x, y, a, b, gamma)
         expected_c = max(gamma - 2 * math.sqrt(a * b), 0.0)
         assert concurrence(state) == pytest.approx(expected_c, abs=1e-10)
         expected_sl = (4 / 3) * (1 - a*a - b*b - x*x - y*y - gamma * (x + y) - gamma*gamma)
         assert linear_entropy(state) == pytest.approx(expected_sl, abs=1e-10)
 
     def test_boundary_family_member(self):
-        # exact boundary case: mems(0.5) as ansatz parameters
-        params = AnsatzParams(x=1 / 3 - 0.25, y=1 / 3 - 0.25, a=1 / 3, b=0.0, gamma=0.5)
-        state = ansatz(params)
+        # exact boundary case: mems(0.5) as an X state
+        state = x_state(1 / 3 - 0.25, 1 / 3 - 0.25, 1 / 3, 0.0, 0.5)
         assert concurrence(state) == pytest.approx(0.5, abs=1e-12)
 
 

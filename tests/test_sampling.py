@@ -13,7 +13,6 @@ from memslab.sampling import (
     BLOCK,
     CHUNK,
     EnsembleSpec,
-    GinibreFull,
     GinibreRank,
     PerturbAbout,
     PureMixture,
@@ -30,7 +29,7 @@ from memslab.states import OutOfRange, make_density, mems, validate_stack, werne
 class TestSpecValidation:
     def test_count_zero_rejected(self):
         with pytest.raises(OutOfRange):
-            EnsembleSpec(GinibreFull(), 0, 1)
+            EnsembleSpec(GinibreRank(4), 0, 1)
 
     def test_bad_rank(self):
         for rank in (0, 5):
@@ -49,8 +48,18 @@ class TestSpecValidation:
 
     def test_seed_range(self):
         with pytest.raises(OutOfRange):
-            EnsembleSpec(GinibreFull(), 1, -1)
-        EnsembleSpec(GinibreFull(), 1, 2**64 - 1)
+            EnsembleSpec(GinibreRank(4), 1, -1)
+        EnsembleSpec(GinibreRank(4), 1, 2**64 - 1)
+
+    def test_count_bound_is_where_chunk_keys_wrap(self):
+        # chunk 2^64 + j would be keyed like chunk j and redraw its states
+        assert [splitmix64(2**64 + j) for j in (0, 1, 7)] == [splitmix64(j) for j in (0, 1, 7)]
+        assert sampling.MAX_COUNT == CHUNK << 64
+        spec = EnsembleSpec(GinibreRank(4), CHUNK << 64, 1)  # 2^64 full chunks
+        assert len(next(sample_states(spec))) == BLOCK
+        for count in ((CHUNK << 64) + 1, (CHUNK << 64) + CHUNK):
+            with pytest.raises(OutOfRange, match=r"exceeds 2\^64 chunks of 1024"):
+                EnsembleSpec(GinibreRank(4), count, 1)
 
 
 class TestSplitMix:
@@ -129,21 +138,21 @@ def _fingerprint(spec):
 
 class TestSampleBatch:
     def test_exact_count(self):
-        spec = EnsembleSpec(GinibreFull(), 2 * CHUNK + 17, seed=4)
+        spec = EnsembleSpec(GinibreRank(4), 2 * CHUNK + 17, seed=4)
         sizes = [len(mats) for mats in sample_states(spec)]
         assert sizes == [BLOCK] * (2 * CHUNK // BLOCK) + [17]
 
     def test_huge_count_streams_lazily(self):
         # 2^52 chunks: a list of their sizes could not be allocated
-        first = next(sample_states(EnsembleSpec(GinibreFull(), CHUNK << 52, seed=1)))
-        assert first.tobytes() == next(sample_states(EnsembleSpec(GinibreFull(), BLOCK, seed=1))).tobytes()
+        first = next(sample_states(EnsembleSpec(GinibreRank(4), CHUNK << 52, seed=1)))
+        assert first.tobytes() == next(sample_states(EnsembleSpec(GinibreRank(4), BLOCK, seed=1))).tobytes()
 
     def test_identical_sequences_across_runs(self):
         spec = EnsembleSpec(GinibreRank(2), 300, seed=8)
         assert _fingerprint(spec) == _fingerprint(spec)
 
     def test_stream_matches_generate_chunk(self):
-        spec = EnsembleSpec(GinibreFull(), 2 * CHUNK + 50, seed=13)
+        spec = EnsembleSpec(GinibreRank(4), 2 * CHUNK + 50, seed=13)
         chunks = [np.concatenate(generate_chunk(spec, i, n)) for i, n in enumerate(chunk_sizes(spec.count))]
         assert [len(chunk) for chunk in chunks] == [CHUNK, CHUNK, 50]
         # chunk by chunk the stream is the concatenation of the per-chunk draws
@@ -159,7 +168,7 @@ class TestSampleBatch:
             assert -1e-12 <= report.linear_entropy <= 1.0 + 1e-12
 
     def test_cloud_bounded(self):
-        spec = EnsembleSpec(GinibreFull(), 3000, seed=77)
+        spec = EnsembleSpec(GinibreRank(4), 3000, seed=77)
         for state in sampled_states(spec):
             report = measure_report(state)
             assert report.tangle <= 1.0 + 1e-12
@@ -167,7 +176,7 @@ class TestSampleBatch:
 
 
 KINDS = {
-    "GinibreFull": GinibreFull(),
+    "GinibreFull": GinibreRank(4),  # full rank: its GOLDEN digests were recorded from a separate full-rank kind
     **{f"GinibreRank({k})": GinibreRank(k) for k in (1, 2, 3, 4)},
     "PureMixture(1)": PureMixture(1),
     "PureMixture(6)": PureMixture(6),
@@ -303,16 +312,16 @@ def test_perturb_mems_scan_builds_one_bit_generator(monkeypatch, tmp_path):
 MULTI_SPECS = {
     "perturb-19x2": [EnsembleSpec(PerturbAbout(mems(round(0.05 * (i + 1), 2)), 0.02), 2,
                                   seed=20260 ^ splitmix64(1 + i)) for i in range(19)],
-    "chunk-crossing": [EnsembleSpec(GinibreFull(), 1030, seed=5), EnsembleSpec(GinibreRank(3), 127, seed=6),
-                       EnsembleSpec(GinibreFull(), 1, seed=7)],
+    "chunk-crossing": [EnsembleSpec(GinibreRank(4), 1030, seed=5), EnsembleSpec(GinibreRank(3), 127, seed=6),
+                       EnsembleSpec(GinibreRank(4), 1, seed=7)],
     "mixed-kinds": [EnsembleSpec(GinibreRank(2), 200, seed=1), EnsembleSpec(PureMixture(3), 300, seed=2),
                     EnsembleSpec(PerturbAbout(mems(0.7), 0.05), 130, seed=3),
-                    EnsembleSpec(GinibreFull(), 1100, seed=4), EnsembleSpec(PureMixture(6), 1, seed=5)],
+                    EnsembleSpec(GinibreRank(4), 1100, seed=4), EnsembleSpec(PureMixture(6), 1, seed=5)],
     # the generator is re-keyed after PureMixture parts and inside chunk-crossing ones, and
     # stacks hold runs of one kind whose draw shapes differ (ranks, mixture sizes, bases)
     "rekeyed-kinds": [EnsembleSpec(PureMixture(2), 1030, seed=9), EnsembleSpec(GinibreRank(1), 5, seed=10),
                       EnsembleSpec(PureMixture(5), 3, seed=11), EnsembleSpec(GinibreRank(3), 1025, seed=12),
-                      EnsembleSpec(GinibreFull(), 2, seed=13), EnsembleSpec(GinibreRank(4), 2, seed=14),
+                      EnsembleSpec(GinibreRank(4), 2, seed=13), EnsembleSpec(GinibreRank(4), 2, seed=14),
                       EnsembleSpec(PerturbAbout(mems(0.2), 0.3), 3, seed=15),
                       EnsembleSpec(PerturbAbout(werner(0.9), 0.01), 4, seed=16),
                       EnsembleSpec(PureMixture(1), 2, seed=(1 << 64) - 1)],

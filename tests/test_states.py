@@ -5,16 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import x_state
 from memslab.linalg import NotHermitian, NotPSD
 from memslab.measures import linear_entropy, measure_report, purity, tangle
 from memslab.states import (
-    AnsatzParams,
     BellKind,
-    NormalizationViolated,
     OutOfRange,
     TraceNotOne,
     ZeroVector,
-    ansatz,
     bell,
     format_matrix,
     make_density,
@@ -193,30 +191,21 @@ class TestMems:
 
 
 class TestAnsatz:
+    """The (x, y, a, b, gamma) X-state ansatz holds the boundary family and a Bell state."""
+
     def test_reduces_to_mems_high_coherence(self):
         # x = y = 0, a = 1 - gamma reproduces the gamma >= 2/3 branch
         for gamma in np.linspace(2 / 3, 1.0, 16):
-            params = AnsatzParams(x=0.0, y=0.0, a=1.0 - gamma, b=0.0, gamma=gamma)
-            assert np.max(np.abs(ansatz(params).mat - mems(gamma).mat)) <= 1e-15
+            assert np.max(np.abs(x_state(0.0, 0.0, 1.0 - gamma, 0.0, gamma).mat - mems(gamma).mat)) <= 1e-15
 
     def test_reduces_to_mems_low_coherence(self):
         # x = y = 1/3 - gamma/2, a = 1/3 reproduces the frozen branch
         for gamma in np.linspace(0.0, 2 / 3, 16):
             x = 1 / 3 - gamma / 2
-            params = AnsatzParams(x=x, y=x, a=1 / 3, b=0.0, gamma=gamma)
-            assert np.max(np.abs(ansatz(params).mat - mems(gamma).mat)) <= 1e-15
+            assert np.max(np.abs(x_state(x, x, 1 / 3, 0.0, gamma).mat - mems(gamma).mat)) <= 1e-15
 
     def test_pure_coherence_is_bell(self):
-        params = AnsatzParams(x=0.0, y=0.0, a=0.0, b=0.0, gamma=1.0)
-        assert np.allclose(ansatz(params).mat, bell(BellKind.PHI_PLUS).mat, atol=1e-15)
-
-    def test_normalization_enforced(self):
-        with pytest.raises(NormalizationViolated):
-            AnsatzParams(x=0.3, y=0.3, a=0.3, b=0.3, gamma=0.3)
-
-    def test_range_enforced(self):
-        with pytest.raises(OutOfRange):
-            AnsatzParams(x=-0.1, y=0.4, a=0.4, b=0.3, gamma=0.0)
+        assert np.allclose(x_state(0.0, 0.0, 0.0, 0.0, 1.0).mat, bell(BellKind.PHI_PLUS).mat, atol=1e-15)
 
 
 class TestPureAndMixed:
