@@ -49,8 +49,7 @@ class LocalFilter:
 
     def diagonal(self) -> np.ndarray:
         """The four diagonal entries of A (x) B in the computational basis."""
-        return np.array([self.a0 * self.b0, self.a0 * self.b1,
-                         self.a1 * self.b0, self.a1 * self.b1])
+        return _diagonals(self.a0, self.a1, self.b0, self.b1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,6 +64,13 @@ class TrajectoryPoint:
     s_linear: float
     tangle: float
     success_prob: float
+
+
+def _diagonals(a0, a1, b0, b1) -> np.ndarray:
+    """LocalFilter.diagonal() of each filter whose entries broadcast together, along a new last axis."""
+    d = np.empty(np.broadcast(a0, a1, b0, b1).shape + (4,))
+    d[..., 0], d[..., 1], d[..., 2], d[..., 3] = a0 * b0, a0 * b1, a1 * b0, a1 * b1
+    return d
 
 
 def _success(rho: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -117,7 +123,7 @@ def trajectory(start: DensityMatrix, schedule: list[LocalFilter]) -> list[Trajec
     """
     if not schedule:
         raise OutOfRange("filter schedule is empty")
-    d = np.array([f.diagonal() for f in schedule])
+    d = _diagonals(*np.array([(f.a0, f.a1, f.b0, f.b1) for f in schedule]).T)
     p = _success(start.mat, d)
     kept = np.flatnonzero(p > SUCCESS_FLOOR)
     if kept.size < len(schedule):
@@ -138,20 +144,20 @@ def best_filter(start: DensityMatrix, grid_resolution: int) -> tuple[LocalFilter
     tau(rho) (a0 a1 b0 b1 / p)^2 from one kernel call on the start.  Points
     whose closed form lies within TIE_RTOL (relative) of the largest are
     tied, as filters that differ by an overall scale give the same state;
-    ties go to the largest success probability p (apply_filter's, which the
-    winner's outcome reports), then to the lexicographically first grid
-    point.  Every kept filtered state is still validated, in blocks of at
-    most 4096, so a start built without make_density raises NotHermitian or
-    NotPSD even where only filters far from the maximum push its defect past
-    tolerance.
+    ties go to the largest success probability p, then to the
+    lexicographically first grid point.  Every kept filtered state is still
+    validated, in blocks of at most 4096, so a start built without
+    make_density raises NotHermitian or NotPSD even where only filters far
+    from the maximum push its defect past tolerance.  The outcome is the
+    winner's grid state, read-only, and its grid p: bit for bit what
+    apply_filter(start, winner) returns, without validating the state again.
     """
     if grid_resolution < 2:
         raise OutOfRange(f"grid resolution {grid_resolution} must be >= 2")
     g = grid_resolution
     values = np.arange(1, g + 1) / g
-    grids = np.stack(np.meshgrid(values, values, values, values, indexing="ij"), axis=-1).reshape(-1, 4)
-    d = np.stack([grids[:, 0] * grids[:, 2], grids[:, 0] * grids[:, 3],
-                  grids[:, 1] * grids[:, 2], grids[:, 1] * grids[:, 3]], axis=1)
+    a0, a1, b0, b1 = values[:, None, None, None], values[:, None, None], values[:, None], values
+    d = _diagonals(a0, a1, b0, b1).reshape(-1, 4)
     p = _success(start.mat, d)
     kept = np.flatnonzero(p > SUCCESS_FLOOR)
     if kept.size == 0:
@@ -160,8 +166,10 @@ def best_filter(start: DensityMatrix, grid_resolution: int) -> tuple[LocalFilter
     for lo in range(0, kept.size, block):
         idx = kept[lo:lo + block]
         validate_stack(_filtered(start.mat, d[idx], p[idx]))
-    taus = tangle_of_mat(start.mat) * (grids[kept].prod(axis=1) / p[kept]) ** 2
+    taus = tangle_of_mat(start.mat) * ((a0 * a1 * b0 * b1).reshape(-1)[kept] / p[kept]) ** 2
     top = kept[taus >= taus.max() * (1 - TIE_RTOL)]
-    a0, a1, b0, b1 = grids[top[np.argmax(p[top])]]  # argmax takes the first of equal p
-    winner = LocalFilter(float(a0), float(a1), float(b0), float(b1))
-    return winner, apply_filter(start, winner)
+    k = top[np.argmax(p[top])]  # argmax takes the first of equal p
+    winner = LocalFilter(*(float(values[i]) for i in np.unravel_index(k, (g,) * 4)))
+    state = _filtered(start.mat, d[k], p[k])  # the grid row validated above, bit for bit
+    state.flags.writeable = False
+    return winner, FilterOutcome(state=DensityMatrix(mat=state), success_prob=float(p[k]))

@@ -23,11 +23,12 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from .linalg import psd_sqrt
-from .measures import linear_entropy_batch, linear_entropy_of_mat, tangle_batch, tangle_eigh, tangle_of_mat
+from .linalg import psd_root
+from .linalg import psd_sqrt  # not called here: bench/spans.py binds frontier.psd_sqrt
+from .measures import linear_entropy_batch, linear_entropy_of_mat, tangle_eigh, tangle_of_mat
 from .measures import von_neumann_batch
 from .measures import von_neumann_entropy  # not called here: bench/spans.py binds frontier.von_neumann_entropy
-from .sampling import EnsembleSpec, sample_states, wishart
+from .sampling import BLOCK, EnsembleSpec, _wishart, sample_states
 from .states import DensityMatrix, OutOfRange, make_density, mems_population, validate_eigh, werner
 
 LN4 = math.log(4.0)
@@ -227,6 +228,29 @@ def certify(spec: EnsembleSpec, tolerance: float) -> CertificationReport:
     return certify_states(sample_states(spec), tolerance)
 
 
+def _step_draws(rng: np.random.Generator, n: int, eps: float,
+                ratio: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """n hill_climb steps' weights, Wishart products and support-weighted flags, and the next step's eps.
+
+    Drawn from ``rng`` step by step; the products are one stack per rank, the bits of sampling.wishart.
+    """
+    weights, support_weighted = np.empty(n), np.empty(n, dtype=bool)
+    normals = {rank: np.empty((n, 2, 4, rank)) for rank in (1, 2, 3, 4)}
+    steps_of = {rank: [] for rank in (1, 2, 3, 4)}  # the steps whose factor has each rank, in order
+    for i in range(n):
+        rank = int(rng.integers(1, 5))
+        weights[i] = eps * (1.0 - rng.random())
+        rng.standard_normal(out=normals[rank][len(steps_of[rank])])
+        steps_of[rank].append(i)
+        support_weighted[i] = rng.random() < 0.5
+        eps *= ratio
+    wishes = np.empty((n, 4, 4), dtype=np.complex128)
+    for rank, at in steps_of.items():
+        if at:
+            wishes[at] = _wishart(normals[rank][:len(at)])
+    return weights, wishes, support_weighted, eps
+
+
 def hill_climb(
     start: DensityMatrix,
     metric: MixednessMetric,
@@ -246,43 +270,39 @@ def hill_climb(
     is accepted when the tangle strictly increases and the chosen mixedness
     stays within +-band of the start's value.
 
-    Each step draws from ``rng`` in a fixed order, at most WINDOW steps ahead.
-    The drawn proposals are built against the current state and their
-    tangles computed as one stack; the first that passes is accepted and the
-    window restarts after it, so the witness is the one that evaluating one
-    proposal per step gives.
+    Each step draws from ``rng`` in a fixed order, in blocks of at most
+    sampling.BLOCK steps.  Proposals are built against the current state in
+    windows of at most WINDOW steps and validated and measured as one stack;
+    the first that passes is accepted and the window restarts after it, so
+    the witness is the one that evaluating one proposal per step gives.
+    sqrt(rho) comes from the eigh that validated the start or the window.
     """
     if steps < 1:
         raise OutOfRange(f"need at least 1 step, got {steps}")
     if not 0.0 < band < math.inf:
         raise OutOfRange(f"band={band} must be positive and finite")
     anchor = _mixedness(metric, start.mat[None])[0]
-    current = start.mat
-    current_tangle = tangle_of_mat(current)
-    root = psd_sqrt(current)
+    current, w0, v0 = validate_eigh(start.mat[None])
+    current, current_tangle, root = current[0], float(tangle_eigh(w0, v0)[0]), psd_root(w0[0], v0[0])
     ratio = (EPS_LO / EPS_HI) ** (1.0 / max(steps - 1, 1))
     eps = EPS_HI
-    drawn = 0
-    ws, wishes, support_weighted = [], [], []  # the draws of the steps not yet evaluated
-    while ws or drawn < steps:
-        while len(ws) < WINDOW and drawn < steps:
-            rank = int(rng.integers(1, 5))
-            ws.append(eps * (1.0 - rng.random()))
-            wishes.append(wishart(rng, rank))
-            support_weighted.append(rng.random() < 0.5)
-            eps *= ratio
-            drawn += 1
-        sigma = np.array(wishes)
-        sigma[support_weighted] = root @ sigma[support_weighted] @ root
-        tr = np.trace(sigma, axis1=1, axis2=2).real
-        live = np.flatnonzero(tr > 0.0)  # a step whose Tr vanishes proposes nothing
-        w = np.array(ws)[live, None, None]
-        proposals = (1.0 - w) * current + (w / tr[live, None, None]) * sigma[live]
-        evaluated = len(ws)
-        for k, candidate, cand_tangle in zip(live.tolist(), proposals, tangle_batch(proposals).tolist()):
-            if cand_tangle > current_tangle and abs(_mixedness(metric, candidate[None])[0] - anchor) <= band:
-                current, current_tangle, root = candidate, cand_tangle, psd_sqrt(candidate)
-                evaluated = k + 1
-                break
-        del ws[:evaluated], wishes[:evaluated], support_weighted[:evaluated]
+    for first in range(0, steps, BLOCK):
+        weights, wishes, support_weighted, eps = _step_draws(rng, min(BLOCK, steps - first), eps, ratio)
+        lo = 0
+        while lo < len(weights):
+            hi = min(lo + WINDOW, len(weights))
+            sigma = wishes[lo:hi].copy()
+            weighted = support_weighted[lo:hi]
+            sigma[weighted] = root @ sigma[weighted] @ root
+            tr = sigma.trace(axis1=1, axis2=2).real
+            live = np.flatnonzero(tr > 0.0)  # a step whose Tr vanishes proposes nothing
+            w = weights[lo:hi][live, None, None]
+            mats, vals, vecs = validate_eigh((1.0 - w) * current + (w / tr[live, None, None]) * sigma[live])
+            evaluated = hi
+            for j, (k, cand_tangle) in enumerate(zip(live.tolist(), tangle_eigh(vals, vecs).tolist())):
+                if cand_tangle > current_tangle and abs(_mixedness(metric, mats[j:j + 1])[0] - anchor) <= band:
+                    current, current_tangle, root = mats[j], cand_tangle, psd_root(vals[j], vecs[j])
+                    evaluated = lo + k + 1
+                    break
+            lo = evaluated
     return make_density(current)

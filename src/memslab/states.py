@@ -47,7 +47,9 @@ class DensityMatrix:
     """A validated 4x4 two-qubit state: Hermitian, unit trace, PSD.
 
     Instances are immutable; the wrapped array is read-only.  Build through
-    :func:`make_density` or one of the family constructors.
+    :func:`make_density` or one of the family constructors.  The one other
+    path is filtering.best_filter, which wraps a read-only copy of a matrix
+    that its stack validation (validate_stack) already accepted.
     """
 
     mat: np.ndarray

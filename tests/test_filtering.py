@@ -330,6 +330,15 @@ def test_best_filter_matches_x_state_oracle(start, g):
     assert abs(x_state_tangle(outcome.state.mat) - grid_max) <= IDENTITY_TOL
 
 
+@pytest.mark.parametrize("g, blocks", [(4, 1), (9, 2)])  # 256 and 6561 grid states
+def test_best_filter_validates_each_block_once_and_returns_its_winner(g, blocks, linalg_calls):
+    _, outcome = best_filter(X_STARTS["mems(0.6)"], g)
+    # one eigvalsh per block of at most 4096 filtered states, none for the winner;
+    # the start's tangle is one eigh and one SVD
+    assert linalg_calls == {"eigh": 1, "eigvalsh": blocks, "svd": 1}
+    assert not outcome.state.mat.flags.writeable
+
+
 def unchecked_start(kind):
     """A DensityMatrix built without make_density, failing its checks as ``kind`` says.
 

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from conftest import random_state
-from memslab import cli
+from memslab import cli, frontier
 from memslab.frontier import (
     LN4,
     S_BRANCH,
     S_EDGE,
+    WINDOW,
     CertificationReport,
     MixednessMetric,
     UnsupportedMetric,
@@ -23,13 +24,14 @@ from memslab.frontier import (
     scan,
     scan_points,
     werner_curve,
+    _step_draws,
 )
 from memslab.linalg import psd_sqrt
 from memslab.measures import (linear_entropy, linear_entropy_of_mat, tangle, tangle_batch, tangle_of_mat,
                               von_neumann_batch, von_neumann_entropy)
 from memslab.sampling import (BLOCK, EnsembleSpec, GinibreRank, PerturbAbout, PureMixture,
                               sample_states, splitmix64, wishart)
-from memslab.states import OutOfRange, make_density, mems, validate_stack, werner
+from memslab.states import OutOfRange, make_density, mems, validate_eigh, validate_stack, werner
 
 LINEAR = MixednessMetric.LINEAR
 VN = MixednessMetric.VON_NEUMANN_NORMALIZED
@@ -254,7 +256,6 @@ def test_witnesses_are_first_to_reach_maximum_across_blocks():
 
 # every ensemble kind, on both sides of the BLOCK (128) edge, and the 19-part perturb-mems stream
 ONE_EIGH_KINDS = {
-    "GinibreFull": GinibreRank(4),  # the full-rank (Hilbert-Schmidt) states, under their long-standing label
     **{f"GinibreRank({k})": GinibreRank(k) for k in (1, 2, 3, 4)},
     "PureMixture(4)": PureMixture(4),
     "PerturbAbout(mems(0.6))": PerturbAbout(mems(0.6), 0.05),
@@ -440,6 +441,43 @@ def test_hill_climb_matches_sequential_climb(metric, start, steps):
     witness = hill_climb(CLIMB_STARTS[start], metric, steps, rng)
     assert np.array_equal(witness.mat, sequential_hill_climb(CLIMB_STARTS[start], metric, steps, ref_rng))
     assert rng.bit_generator.state == ref_rng.bit_generator.state  # every step drawn, nothing more
+
+
+@pytest.mark.parametrize("metric", [LINEAR, VN], ids=["linear", "vn"])
+def test_hill_climb_takes_roots_from_each_windows_eigh(metric, linalg_calls, monkeypatch):
+    stacks = []
+
+    def counted(raw):
+        stacks.append(len(raw))
+        return validate_eigh(raw)
+
+    monkeypatch.setattr(frontier, "validate_eigh", counted)
+    steps = 40
+    hill_climb(CLIMB_STARTS["werner(0.8)"], metric, steps, np.random.default_rng(3))
+    assert stacks[0] == 1  # the start, validated once for its tangle and its root
+    assert len(stacks) - 1 > math.ceil(steps / WINDOW)  # accepts restarted some windows
+    # one eigh and one SVD for the start and one of each per window: an accepted proposal's
+    # root comes from its window's eigh, not from an eigh of its own
+    assert (linalg_calls["eigh"], linalg_calls["svd"]) == (len(stacks), len(stacks))
+    if metric is LINEAR:
+        assert linalg_calls["eigvalsh"] == 1  # make_density of the witness
+
+
+@pytest.mark.parametrize("n", [1, 40, BLOCK])
+def test_step_draws_stack_the_wishart_of_each_step(n):
+    rng, ref = np.random.default_rng(n), np.random.default_rng(n)
+    weights, wishes, support_weighted, eps = _step_draws(rng, n, 0.1, 0.9)
+    ranks, ref_eps = [], 0.1
+    for i in range(n):  # the per-step draw order, one sampling.wishart per step
+        ranks.append(int(ref.integers(1, 5)))
+        assert weights[i] == ref_eps * (1.0 - ref.random())
+        assert wishes[i].tobytes() == wishart(ref, ranks[-1]).tobytes()
+        assert support_weighted[i] == (ref.random() < 0.5)
+        ref_eps *= 0.9
+    assert eps == ref_eps
+    assert rng.bit_generator.state == ref.bit_generator.state
+    if n > 1:
+        assert set(ranks) == {1, 2, 3, 4} and ranks != sorted(ranks)  # interleaved ranks
 
 
 # sha256 of hill_climb witnesses recorded with the one-proposal-per-step climb.  Being
