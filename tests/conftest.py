@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from memslab import cli
 from memslab.sampling import sample_states, wishart
 from memslab.states import make_density
 
@@ -20,6 +21,13 @@ def x_state(x, y, a, b, gamma):
     mat = np.diag([x + gamma / 2, a, b, y + gamma / 2]).astype(np.complex128)
     mat[0, 3] = mat[3, 0] = gamma / 2
     return make_density(mat)
+
+
+def cli_kind(ensemble: str):
+    """The ensemble kind that ``memslab scan --ensemble <ensemble>`` samples."""
+    args = cli.build_parser().parse_args(["scan", "--ensemble", ensemble, "--count", "1", "--out", "-"])
+    (spec,) = cli._ensemble_specs(args)
+    return spec.kind
 
 
 def sampled_states(spec):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_state
+from conftest import cli_kind, random_state
 from memslab import cli, frontier
 from memslab.frontier import (
     LN4,
@@ -256,6 +256,7 @@ def test_witnesses_are_first_to_reach_maximum_across_blocks():
 
 # every ensemble kind, on both sides of the BLOCK (128) edge, and the 19-part perturb-mems stream
 ONE_EIGH_KINDS = {
+    "GinibreFull": cli_kind("ginibre"),  # the full-rank kind --ensemble ginibre samples
     **{f"GinibreRank({k})": GinibreRank(k) for k in (1, 2, 3, 4)},
     "PureMixture(4)": PureMixture(4),
     "PerturbAbout(mems(0.6))": PerturbAbout(mems(0.6), 0.05),

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_state, sampled_states
+from conftest import cli_kind, random_state, sampled_states
 from memslab import cli, sampling
 from memslab.frontier import MixednessMetric, bin_maxima, certify_states, envelope_tangle, scan_points
 from memslab.measures import (linear_entropy, linear_entropy_batch, measure_report, purity, purity_batch, tangle,
@@ -176,6 +176,9 @@ class TestSampleBatch:
 
 
 KINDS = {
+    # the kind --ensemble ginibre samples: its digests were recorded from a separate full-rank
+    # class, so these cases pin that the CLI's default ensemble still draws those states
+    "GinibreFull": cli_kind("ginibre"),
     **{f"GinibreRank({k})": GinibreRank(k) for k in (1, 2, 3, 4)},
     "PureMixture(1)": PureMixture(1),
     "PureMixture(6)": PureMixture(6),
@@ -188,6 +191,10 @@ KINDS = {
 # floating-point arithmetic of the numpy and BLAS builds they were recorded with
 # (numpy 2.4, OpenBLAS 0.3.31, x86-64).
 GOLDEN = {
+    ("GinibreFull", 1): "8e498257dddfedf2f795c3ee54ab80ab74f215a5f6575ef2b72dd178a0926397",
+    ("GinibreFull", 127): "925d9e9336ca3dbe591013755b78529ce0b711c45a1920592cad7dcc91c340c6",
+    ("GinibreFull", 129): "2dcc7d6d8f24fbf3e9db014c60df19b492faf83119cab65c9f8385fc9e32c183",
+    ("GinibreFull", 1025): "501a65459d883c1bd81059d3ab5469463e63fc0f58b214f0ad76fa2b49ff944f",
     ("GinibreRank(1)", 1): "a0881cb15441c373c973819c5da6ab44b87089754e5cc85946d9e5aa8a7d8d74",
     ("GinibreRank(1)", 127): "ec66d5caa7447861b1fce5a27c94b71c23586e7d757210e0ce8b4ab61f8bd500",
     ("GinibreRank(1)", 129): "256f19d7858a1fe67299c84b842f7c0ecd997b2cec2d2b52bad06b7c031b0519",
