@@ -25,13 +25,6 @@ FAMILIES = ("werner", "mems", "bell-phi+", "bell-phi-", "bell-psi+", "bell-psi-"
 ENSEMBLES = ("ginibre", "ginibre-rank1", "ginibre-rank2", "ginibre-rank3", "ginibre-rank4",
              "pure-mixture", "perturb-mems")  # the sampled ensembles; certify also takes mems
 
-_BELL_BY_NAME = {
-    "bell-phi+": states.BellKind.PHI_PLUS,
-    "bell-phi-": states.BellKind.PHI_MINUS,
-    "bell-psi+": states.BellKind.PSI_PLUS,
-    "bell-psi-": states.BellKind.PSI_MINUS,
-}
-
 PERTURB_GAMMAS = [round(0.05 * i, 2) for i in range(1, 20)]  # 0.05 .. 0.95
 PERTURB_BASES = tuple(states.mems(gamma) for gamma in PERTURB_GAMMAS)  # built once, not per call
 
@@ -64,7 +57,7 @@ def _family_state(family: str, gamma: float | None) -> states.DensityMatrix:
         raise states.OutOfRange(f"--gamma does not apply to family {family!r}")
     if family == "mixed":
         return states.maximally_mixed()
-    return states.bell(_BELL_BY_NAME[family])
+    return states.bell(states.BellKind(family.removeprefix("bell-")))
 
 
 def _print_report(report: MeasureReport) -> None:
@@ -161,9 +154,8 @@ def _streamed_points(path: str, stacks: Iterator[frontier.ScanStack]) -> Iterato
 
 
 def cmd_scan(args) -> int:
-    metric = frontier.MixednessMetric(args.metric)
-    stacks = frontier.scan_points(_ensemble_states(args), metric)
-    envelope = frontier.bin_maxima(_streamed_points(args.out, stacks), metric, args.bins)
+    stacks = frontier.scan_points(_ensemble_states(args), frontier.MixednessMetric(args.metric))
+    envelope = frontier.bin_maxima(_streamed_points(args.out, stacks), args.bins)
     _write_csv(_envelope_path(args.out), "bin_lo,bin_hi,max_tangle",
                ((stat.lo, stat.hi, stat.max_tangle) for stat in envelope.bins))
     return 0

@@ -19,7 +19,7 @@ import numpy as np
 
 from .measures import linear_entropy_batch, tangle_batch, tangle_of_mat
 from .measures import linear_entropy_of_mat  # not called here: bench/spans.py binds filtering.linear_entropy_of_mat
-from .states import DensityMatrix, OutOfRange, make_density, validate_stack
+from .states import DensityMatrix, OutOfRange, _held, make_density, validate_stack
 
 log = logging.getLogger(__name__)
 
@@ -170,6 +170,5 @@ def best_filter(start: DensityMatrix, grid_resolution: int) -> tuple[LocalFilter
     top = kept[taus >= taus.max() * (1 - TIE_RTOL)]
     k = top[np.argmax(p[top])]  # argmax takes the first of equal p
     winner = LocalFilter(*(float(values[i]) for i in np.unravel_index(k, (g,) * 4)))
-    state = _filtered(start.mat, d[k], p[k])  # the grid row validated above, bit for bit
-    state.flags.writeable = False
-    return winner, FilterOutcome(state=DensityMatrix(mat=state), success_prob=float(p[k]))
+    state = _held(_filtered(start.mat, d[k], p[k]))  # the grid row validated above, bit for bit
+    return winner, FilterOutcome(state=state, success_prob=float(p[k]))

@@ -25,11 +25,11 @@ import numpy as np
 
 from .linalg import psd_root
 from .linalg import psd_sqrt  # not called here: bench/spans.py binds frontier.psd_sqrt
-from .measures import linear_entropy_batch, linear_entropy_of_mat, tangle_eigh, tangle_of_mat
+from .measures import linear_entropy_batch, linear_entropy_of_mat, tangle_of_mat, tangle_root
 from .measures import von_neumann_batch
 from .measures import von_neumann_entropy  # not called here: bench/spans.py binds frontier.von_neumann_entropy
 from .sampling import BLOCK, EnsembleSpec, _wishart, sample_states
-from .states import DensityMatrix, OutOfRange, make_density, mems_population, validate_eigh, werner
+from .states import DensityMatrix, OutOfRange, _held, make_density, mems_population, validate_eigh, werner
 
 LN4 = math.log(4.0)
 WINDOW = 8  # hill_climb proposals whose tangles are computed as one stack
@@ -113,8 +113,6 @@ class BinStat:
 
 @dataclass(frozen=True)
 class FrontierEnvelope:
-    metric: MixednessMetric
-    bin_count: int
     bins: tuple[BinStat, ...]  # occupied bins only, ascending
     samples_total: int
 
@@ -161,10 +159,10 @@ def scan_points(stacks: Iterable[np.ndarray], metric: MixednessMetric) -> Iterat
     """
     for raw in stacks:
         mats, w, v = validate_eigh(raw)
-        yield tangle_eigh(w, v), _mixedness(metric, mats), mats
+        yield tangle_root(psd_root(w, v)), _mixedness(metric, mats), mats
 
 
-def bin_maxima(stacks: Iterable[ScanStack], metric: MixednessMetric, bins: int) -> FrontierEnvelope:
+def bin_maxima(stacks: Iterable[ScanStack], bins: int) -> FrontierEnvelope:
     """Per-bin tangle maxima of scan_points stacks.
 
     ``bins`` is checked before the first stack is read.  Only the occupied
@@ -189,12 +187,12 @@ def bin_maxima(stacks: Iterable[ScanStack], metric: MixednessMetric, bins: int) 
                 slot[0] = tau
     stats = tuple(BinStat(lo=idx / bins, hi=(idx + 1) / bins, max_tangle=tau, count=count)
                   for idx, (tau, count) in sorted(occupied.items()))
-    return FrontierEnvelope(metric=metric, bin_count=bins, bins=stats, samples_total=total)
+    return FrontierEnvelope(bins=stats, samples_total=total)
 
 
 def scan(spec: EnsembleSpec, metric: MixednessMetric, bins: int) -> FrontierEnvelope:
     """Per-bin tangle maxima over the ensemble; deterministic given spec."""
-    return bin_maxima(scan_points(sample_states(spec), metric), metric, bins)
+    return bin_maxima(scan_points(sample_states(spec), metric), bins)
 
 
 def certify_states(stacks: Iterable[np.ndarray], tolerance: float) -> CertificationReport:
@@ -275,7 +273,8 @@ def hill_climb(
     windows of at most WINDOW steps and validated and measured as one stack;
     the first that passes is accepted and the window restarts after it, so
     the witness is the one that evaluating one proposal per step gives.
-    sqrt(rho) comes from the eigh that validated the start or the window.
+    sqrt(rho) is the root its tangle was measured from (linalg.psd_root of the
+    eigh that validated the start or the window); the witness is not re-checked.
     """
     if steps < 1:
         raise OutOfRange(f"need at least 1 step, got {steps}")
@@ -283,7 +282,8 @@ def hill_climb(
         raise OutOfRange(f"band={band} must be positive and finite")
     anchor = _mixedness(metric, start.mat[None])[0]
     current, w0, v0 = validate_eigh(start.mat[None])
-    current, current_tangle, root = current[0], float(tangle_eigh(w0, v0)[0]), psd_root(w0[0], v0[0])
+    roots = psd_root(w0, v0)
+    current, current_tangle, root = current[0], float(tangle_root(roots)[0]), roots[0]
     ratio = (EPS_LO / EPS_HI) ** (1.0 / max(steps - 1, 1))
     eps = EPS_HI
     for first in range(0, steps, BLOCK):
@@ -298,11 +298,12 @@ def hill_climb(
             live = np.flatnonzero(tr > 0.0)  # a step whose Tr vanishes proposes nothing
             w = weights[lo:hi][live, None, None]
             mats, vals, vecs = validate_eigh((1.0 - w) * current + (w / tr[live, None, None]) * sigma[live])
+            roots = psd_root(vals, vecs)
             evaluated = hi
-            for j, (k, cand_tangle) in enumerate(zip(live.tolist(), tangle_eigh(vals, vecs).tolist())):
+            for j, (k, cand_tangle) in enumerate(zip(live.tolist(), tangle_root(roots).tolist())):
                 if cand_tangle > current_tangle and abs(_mixedness(metric, mats[j:j + 1])[0] - anchor) <= band:
-                    current, current_tangle, root = mats[j], cand_tangle, psd_root(vals[j], vecs[j])
+                    current, current_tangle, root = mats[j], cand_tangle, roots[j]
                     evaluated = lo + k + 1
                     break
             lo = evaluated
-    return make_density(current)
+    return _held(current)

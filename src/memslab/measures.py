@@ -44,9 +44,8 @@ class MeasureReport:
     FIELDS = ("purity", "linear_entropy", "von_neumann", "concurrence", "tangle", "eof", "negativity")
 
 
-def _spin_flip_values(w: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Spin-flip singular values, descending, of each matrix of a validated stack from its eigh (w, v)."""
-    root = psd_root(w, v)
+def _spin_flip_values(root: np.ndarray) -> np.ndarray:
+    """Spin-flip singular values, descending, of each matrix of a validated stack from its PSD roots."""
     # The lambdas are the square roots of the eigenvalues of the Hermitian
     # product sqrt(rho) rhotilde sqrt(rho) = A A^dag with
     # A = sqrt(rho) S conj(sqrt(rho)); taking singular values of A avoids the
@@ -62,7 +61,7 @@ def _concurrences(lambdas: np.ndarray) -> np.ndarray:
 
 def wootters_lambdas(rho: DensityMatrix) -> np.ndarray:
     """Spin-flip singular values lambda_1 >= ... >= lambda_4 >= 0, from validate_eigh of a one-state stack."""
-    return _spin_flip_values(*validate_eigh(rho.mat[None])[1:])[0]
+    return _spin_flip_values(psd_root(*validate_eigh(rho.mat[None])[1:]))[0]
 
 
 def concurrence(rho: DensityMatrix) -> float:
@@ -171,10 +170,10 @@ def tangle_batch(mats: np.ndarray) -> np.ndarray:
 
     Validates the stack with states.validate_eigh: the first non-state raises validate_stack's error.
     """
-    return tangle_eigh(*validate_eigh(mats)[1:])
+    return tangle_root(psd_root(*validate_eigh(mats)[1:]))
 
 
-def tangle_eigh(w: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Tangles of a stack that states.validate_eigh accepted, from its eigh (w, v): the one tangle kernel."""
-    c = _concurrences(_spin_flip_values(w, v))
+def tangle_root(root: np.ndarray) -> np.ndarray:
+    """Tangles of a stack that states.validate_eigh accepted, from linalg.psd_root of its eigh: the one tangle kernel."""
+    c = _concurrences(_spin_flip_values(root))
     return c * c

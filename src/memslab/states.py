@@ -8,9 +8,9 @@ a vector normalization is unambiguous.
 
 Stacks have two validators with one check routine: validate_stack reads the
 PSD check from a stacked eigvalsh, and validate_eigh from a stacked eigh that
-it returns.  Every measuring path (frontier.scan_points, and
-measures.tangle_batch under every other tangle) validates with validate_eigh
-and measures from that eigh, so it decomposes each state once.
+it returns.  Every measuring path (frontier.scan_points, and tangle_batch
+under every other tangle) validates with validate_eigh and measures that
+eigh's root with measures.tangle_root, so it decomposes each state once.
 """
 
 from __future__ import annotations
@@ -46,10 +46,10 @@ class ZeroVector(ValueError):
 class DensityMatrix:
     """A validated 4x4 two-qubit state: Hermitian, unit trace, PSD.
 
-    Instances are immutable; the wrapped array is read-only.  Build through
-    :func:`make_density` or one of the family constructors.  The one other
-    path is filtering.best_filter, which wraps a read-only copy of a matrix
-    that its stack validation (validate_stack) already accepted.
+    Instances are immutable; the wrapped array is a read-only copy that owns
+    its data.  Build through :func:`make_density` or a family constructor;
+    filtering.best_filter and frontier.hill_climb wrap, through _held, a
+    matrix that their own stack validation already accepted.
     """
 
     mat: np.ndarray
@@ -100,10 +100,17 @@ def validate_stack(raw) -> np.ndarray:
 def validate_eigh(raw) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """validate_stack's checks and errors, with the PSD check read from one stacked eigh.
 
-    Returns (mats, w, v): the complex128 stack and its eigh, which measuring
-    code reuses (measures.tangle_eigh) instead of decomposing the stack again.
+    Returns (mats, w, v): the complex128 stack and its eigh, whose root
+    measuring code reuses (measures.tangle_root) instead of decomposing again.
     """
     return _checked(raw, vectors=True)
+
+
+def _held(mat: np.ndarray) -> DensityMatrix:
+    """A DensityMatrix of a read-only copy of ``mat``, one matrix of a stack that _checked accepted."""
+    mat = mat.copy()
+    mat.flags.writeable = False
+    return DensityMatrix(mat=mat)
 
 
 def make_density(raw) -> DensityMatrix:
@@ -112,9 +119,7 @@ def make_density(raw) -> DensityMatrix:
     Raises NotHermitian / TraceNotOne / NotPSD naming the violated invariant
     together with its magnitude.  No repair is attempted.
     """
-    mat = validate_stack(as_cmat(raw)[None])[0].copy()
-    mat.flags.writeable = False
-    return DensityMatrix(mat=mat)
+    return _held(validate_stack(as_cmat(raw)[None])[0])
 
 
 class BellKind(enum.Enum):

@@ -26,7 +26,8 @@ from memslab.frontier import (
     werner_curve,
     _step_draws,
 )
-from memslab.linalg import psd_sqrt
+from memslab.filtering import best_filter
+from memslab.linalg import psd_root, psd_sqrt
 from memslab.measures import (linear_entropy, linear_entropy_of_mat, tangle, tangle_batch, tangle_of_mat,
                               von_neumann_batch, von_neumann_entropy)
 from memslab.sampling import (BLOCK, EnsembleSpec, GinibreRank, PerturbAbout, PureMixture,
@@ -249,7 +250,7 @@ def test_witnesses_are_first_to_reach_maximum_across_blocks():
         slot[1] += 1
     top = cells[0]  # werner(0): S_L = 1, tangle 0
     assert occupied[top][0] == 0.0 and sum(cells[i] == top for i in range(BLOCK, len(mats))) > 1
-    env = bin_maxima(scan_points(stacks, LINEAR), LINEAR, bins)
+    env = bin_maxima(scan_points(stacks, LINEAR), bins)
     assert [(b.lo, b.max_tangle, b.count) for b in env.bins] == [
         (cell / bins, *occupied[cell]) for cell in sorted(occupied)]
 
@@ -446,13 +447,18 @@ def test_hill_climb_matches_sequential_climb(metric, start, steps):
 
 @pytest.mark.parametrize("metric", [LINEAR, VN], ids=["linear", "vn"])
 def test_hill_climb_takes_roots_from_each_windows_eigh(metric, linalg_calls, monkeypatch):
-    stacks = []
+    stacks, rooted = [], []
 
     def counted(raw):
         stacks.append(len(raw))
         return validate_eigh(raw)
 
+    def counted_root(w, v):
+        rooted.append(len(w))
+        return psd_root(w, v)
+
     monkeypatch.setattr(frontier, "validate_eigh", counted)
+    monkeypatch.setattr(frontier, "psd_root", counted_root)
     steps = 40
     hill_climb(CLIMB_STARTS["werner(0.8)"], metric, steps, np.random.default_rng(3))
     assert stacks[0] == 1  # the start, validated once for its tangle and its root
@@ -460,8 +466,22 @@ def test_hill_climb_takes_roots_from_each_windows_eigh(metric, linalg_calls, mon
     # one eigh and one SVD for the start and one of each per window: an accepted proposal's
     # root comes from its window's eigh, not from an eigh of its own
     assert (linalg_calls["eigh"], linalg_calls["svd"]) == (len(stacks), len(stacks))
+    # one stacked root per validated stack: the roots the tangles used are the support roots
+    assert rooted == stacks
     if metric is LINEAR:
-        assert linalg_calls["eigvalsh"] == 1  # make_density of the witness
+        assert linalg_calls["eigvalsh"] == 0  # the witness is not validated again
+
+
+@pytest.mark.parametrize("build", [
+    lambda: make_density(np.stack([mems(0.6).mat, werner(0.5).mat])[1]),  # a slice of a writable stack
+    lambda: best_filter(mems(0.6), 4)[1].state,
+    lambda: hill_climb(werner(0.8), LINEAR, 40, np.random.default_rng(3)),
+    lambda: certify_states(sample_states(EnsembleSpec(GinibreRank(4), 300, seed=5)), 1e-9).violating_state,
+], ids=["make_density", "best_filter", "hill_climb", "certify_states"])
+def test_returned_states_are_read_only_and_own_their_data(build):
+    mat = build().mat
+    # a view would keep the stack it was cut from (a window, a grid block, a sample stack) alive
+    assert not mat.flags.writeable and mat.base is None
 
 
 @pytest.mark.parametrize("n", [1, 40, BLOCK])

@@ -374,7 +374,7 @@ class TestMultiSpecStream:
         report = certify_states(stacks, tolerance=1e-9)
         assert (report.max_violation, report.samples_total) == (worst, len(states))
         assert np.array_equal(report.violating_state.mat, witness.mat)
-        envelope = bin_maxima(scan_points(stacks, MixednessMetric.LINEAR), MixednessMetric.LINEAR, 20)
+        envelope = bin_maxima(scan_points(stacks, MixednessMetric.LINEAR), 20)
         assert [(b.lo, b.max_tangle, b.count) for b in envelope.bins] == \
             [(idx / 20, *slot) for idx, slot in sorted(bins.items())]
 
