@@ -25,8 +25,7 @@ FAMILIES = ("werner", "mems", "bell-phi+", "bell-phi-", "bell-psi+", "bell-psi-"
 ENSEMBLES = ("ginibre", "ginibre-rank1", "ginibre-rank2", "ginibre-rank3", "ginibre-rank4",
              "pure-mixture", "perturb-mems")  # the sampled ensembles; certify also takes mems
 
-PERTURB_GAMMAS = [round(0.05 * i, 2) for i in range(1, 20)]  # 0.05 .. 0.95
-PERTURB_BASES = tuple(states.mems(gamma) for gamma in PERTURB_GAMMAS)  # built once, not per call
+PERTURB_BASES = tuple(states.mems(round(0.05 * i, 2)) for i in range(1, 20))  # gamma 0.05 .. 0.95, built once
 
 
 def fmt(value: float) -> str:
@@ -93,19 +92,8 @@ def _ensemble_specs(args) -> list[sampling.EnsembleSpec]:
     if name == "pure-mixture":
         return [sampling.EnsembleSpec(sampling.PureMixture(args.mixture_size), args.count, args.seed)]
     if name == "perturb-mems":
-        # spread the budget over a gamma sweep of the boundary family
-        share, extra = divmod(args.count, len(PERTURB_GAMMAS))
-        specs = []
-        for i, base in enumerate(PERTURB_BASES):
-            count = share + (1 if i < extra else 0)
-            if count == 0:
-                continue
-            specs.append(sampling.EnsembleSpec(
-                sampling.PerturbAbout(base, args.eps),
-                count,
-                args.seed ^ sampling.splitmix64(1 + i),
-            ))
-        return specs
+        kinds = [sampling.PerturbAbout(base, args.eps) for base in PERTURB_BASES]  # a gamma sweep of the boundary family
+        return sampling.split_specs(kinds, args.count, args.seed)
     raise states.OutOfRange(f"unknown ensemble {name!r}")
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
@@ -140,8 +141,13 @@ class CertificationReport:
         return "PASS" if self.passed else "FAIL"
 
 
+def _check_metric(metric: MixednessMetric) -> None:
+    if not isinstance(metric, MixednessMetric):
+        raise TypeError(f"unknown mixedness metric {metric!r}: expected a MixednessMetric")
+
+
 def _mixedness(metric: MixednessMetric, mats: np.ndarray) -> np.ndarray:
-    """The mixedness of each matrix of a validated (n, 4, 4) stack, not clipped."""
+    """The mixedness of each matrix of a validated (n, 4, 4) stack, not clipped; ``metric`` is already checked."""
     if metric is MixednessMetric.LINEAR:
         return linear_entropy_batch(mats)
     return von_neumann_batch(mats) / LN4
@@ -156,7 +162,9 @@ def scan_points(stacks: Iterable[np.ndarray], metric: MixednessMetric) -> Iterat
     Each stack is validated as it is read (states.validate_eigh: the errors of
     validate_stack) and its tangles come from that same eigh, so a stack is
     decomposed once.  The triple's states are the validated complex128 stack.
+    A ``metric`` that is not a MixednessMetric raises before a stack is read.
     """
+    _check_metric(metric)
     for raw in stacks:
         mats, w, v = validate_eigh(raw)
         yield tangle_root(psd_root(w, v)), _mixedness(metric, mats), mats
@@ -165,11 +173,11 @@ def scan_points(stacks: Iterable[np.ndarray], metric: MixednessMetric) -> Iterat
 def bin_maxima(stacks: Iterable[ScanStack], bins: int) -> FrontierEnvelope:
     """Per-bin tangle maxima of scan_points stacks.
 
-    ``bins`` is checked before the first stack is read.  Only the occupied
-    bins' maxima and counts are kept, in a dict keyed by bin index, so a bin
-    count far past the sample count costs nothing; no state is kept.
+    ``bins``, an integer of at least 10, is checked before the first stack is
+    read.  Only the occupied bins' maxima and counts are kept, in a dict keyed
+    by bin index, so a bin count past the sample count costs nothing.
     """
-    if float(bins) < 10:  # float() raises OverflowError here, not at the first state's mix * bins
+    if float(operator.index(bins)) < 10:  # an int (10.5 bins overlap); OverflowError here, not at mix * bins
         raise OutOfRange(f"need at least 10 bins, got {bins}")
     occupied: dict[int, list] = {}  # bin index -> [max tangle, count]
     total = 0
@@ -230,23 +238,18 @@ def _step_draws(rng: np.random.Generator, n: int, eps: float,
                 ratio: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """n hill_climb steps' weights, Wishart products and support-weighted flags, and the next step's eps.
 
-    Drawn from ``rng`` step by step; the products are one stack per rank, the bits of sampling.wishart.
+    Drawn from ``rng`` step by step into the first ``rank`` columns of one zero (n, 2, 4, 4) factor array;
+    the zero columns add exact zeros, so its one product has the bits of sampling.wishart per step.
     """
     weights, support_weighted = np.empty(n), np.empty(n, dtype=bool)
-    normals = {rank: np.empty((n, 2, 4, rank)) for rank in (1, 2, 3, 4)}
-    steps_of = {rank: [] for rank in (1, 2, 3, 4)}  # the steps whose factor has each rank, in order
+    normals = np.zeros((n, 2, 4, 4))
     for i in range(n):
         rank = int(rng.integers(1, 5))
         weights[i] = eps * (1.0 - rng.random())
-        rng.standard_normal(out=normals[rank][len(steps_of[rank])])
-        steps_of[rank].append(i)
+        normals[i, :, :, :rank] = rng.standard_normal((2, 4, rank))
         support_weighted[i] = rng.random() < 0.5
         eps *= ratio
-    wishes = np.empty((n, 4, 4), dtype=np.complex128)
-    for rank, at in steps_of.items():
-        if at:
-            wishes[at] = _wishart(normals[rank][:len(at)])
-    return weights, wishes, support_weighted, eps
+    return weights, _wishart(normals), support_weighted, eps
 
 
 def hill_climb(
@@ -261,27 +264,29 @@ def hill_climb(
     Proposals are convex mixes (1 - w) rho + w sigma with w uniform on
     (0, eps], eps shrinking geometrically from EPS_HI at the first step to
     EPS_LO at the last.  sigma alternates between plain Ginibre draws of
-    random rank and support-weighted draws
-    sqrt(rho) W sqrt(rho) / Tr; the latter respect the current support, which
-    is what makes ascent from rank-deficient starts possible at all (mixing
-    toward generic full-rank noise can only dilute the concurrence).  A move
-    is accepted when the tangle strictly increases and the chosen mixedness
-    stays within +-band of the start's value.
+    random rank and support-weighted draws sqrt(rho) W sqrt(rho) / Tr; the
+    latter respect the current support, which is what makes ascent from
+    rank-deficient starts possible at all (mixing toward generic full-rank
+    noise can only dilute the concurrence).  A move is accepted when the
+    tangle strictly increases and the chosen mixedness stays within +-band
+    of the start's value.
 
-    Each step draws from ``rng`` in a fixed order, in blocks of at most
-    sampling.BLOCK steps.  Proposals are built against the current state in
-    windows of at most WINDOW steps and validated and measured as one stack;
-    the first that passes is accepted and the window restarts after it, so
-    the witness is the one that evaluating one proposal per step gives.
-    sqrt(rho) is the root its tangle was measured from (linalg.psd_root of the
-    eigh that validated the start or the window); the witness is not re-checked.
+    The metric and the start are checked before any draw.  Each step draws
+    from ``rng`` in a fixed order, in blocks of at most sampling.BLOCK steps
+    whose factors are one zero-padded array.  Proposals are built against the
+    current state in windows of at most WINDOW steps and validated and
+    measured as one stack; the first that passes is accepted and the window
+    restarts after it, so the witness is the one that evaluating one proposal
+    per step gives.  sqrt(rho) is the root its tangle was measured from
+    (linalg.psd_root of the eigh that validated the start or the window).
     """
     if steps < 1:
         raise OutOfRange(f"need at least 1 step, got {steps}")
     if not 0.0 < band < math.inf:
         raise OutOfRange(f"band={band} must be positive and finite")
-    anchor = _mixedness(metric, start.mat[None])[0]
+    _check_metric(metric)
     current, w0, v0 = validate_eigh(start.mat[None])
+    anchor = _mixedness(metric, current)[0]
     roots = psd_root(w0, v0)
     current, current_tangle, root = current[0], float(tangle_root(roots)[0]), roots[0]
     ratio = (EPS_LO / EPS_HI) ** (1.0 / max(steps - 1, 1))

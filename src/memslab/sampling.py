@@ -16,6 +16,9 @@ elementwise or per state; it runs once per stack over each run of pieces of
 one draw shape.  So how the draws are cut into stacks does not change
 which states a seed gives.
 
+split_specs spreads one count over several kinds and keys part i by
+``seed XOR splitmix64(1 + i)``, so every key of a stream is made here.
+
 sample_states(*specs) is one stream over the specs' chunks in order: it
 cuts them into stacks of BLOCK states (the last may be shorter) that run
 across chunk and spec boundaries.  For one spec every stack lies inside one
@@ -29,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import groupby
-from typing import Callable, Iterable, Iterator, Union
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -122,6 +125,14 @@ class EnsembleSpec:
             raise OutOfRange(f"sample count {self.count} exceeds 2^64 chunks of {CHUNK}")
         if not 0 <= self.seed <= _MASK64:
             raise OutOfRange("seed must fit in 64 unsigned bits")
+
+
+def split_specs(kinds: Sequence[EnsembleKind], count: int, seed: int) -> list[EnsembleSpec]:
+    """``count`` states over ``kinds``, the first ``count % len(kinds)`` parts one larger, empty parts dropped;
+    part i is drawn from the seed ``seed ^ splitmix64(1 + i)``."""
+    share, extra = divmod(count, len(kinds))
+    parts = ((i, kind, share + (i < extra)) for i, kind in enumerate(kinds))
+    return [EnsembleSpec(kind, size, seed ^ splitmix64(1 + i)) for i, kind, size in parts if size]
 
 
 def _wishart(normals: np.ndarray) -> np.ndarray:

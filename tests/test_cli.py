@@ -287,7 +287,8 @@ class TestPerturbMemsGoldens:
 
     At --count 39000 every one of the 19 parts spans three CHUNKs.  Being bytes,
     the digests hold for the numpy and BLAS builds they were recorded with
-    (numpy 2.4, OpenBLAS 0.3.31, x86-64).
+    (numpy 2.4, OpenBLAS 0.3.31, x86-64, the SkylakeX kernel); under the Haswell
+    or Zen kernels (OPENBLAS_CORETYPE) the --count 1000 and 39000 scans differ.
     """
 
     SCAN = {  # (metric, count) -> (points CSV, envelope CSV)

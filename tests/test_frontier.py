@@ -32,7 +32,8 @@ from memslab.measures import (linear_entropy, linear_entropy_of_mat, tangle, tan
                               von_neumann_batch, von_neumann_entropy)
 from memslab.sampling import (BLOCK, EnsembleSpec, GinibreRank, PerturbAbout, PureMixture,
                               sample_states, splitmix64, wishart)
-from memslab.states import OutOfRange, make_density, mems, validate_eigh, validate_stack, werner
+from memslab.states import (DensityMatrix, OutOfRange, TraceNotOne, make_density, mems, validate_eigh,
+                            validate_stack, werner)
 
 LINEAR = MixednessMetric.LINEAR
 VN = MixednessMetric.VON_NEUMANN_NORMALIZED
@@ -170,6 +171,26 @@ class TestScan:
         for bins in (5, 0, -3):
             with pytest.raises(OutOfRange):
                 scan(EnsembleSpec(GinibreRank(4), 10, seed=1), LINEAR, bins=bins)
+
+    @pytest.mark.parametrize("bins", [10.5, 20.0, "20"])
+    def test_bin_count_must_be_an_integer(self, bins):
+        stacks = iter([(np.array([0.0]), np.array([0.99]), mems(0.0).mat[None])])
+        with pytest.raises(TypeError):
+            bin_maxima(stacks, bins)
+        assert len(list(stacks)) == 1  # checked before the first stack is read
+
+    def test_numpy_integer_bin_count_accepted(self):
+        spec = EnsembleSpec(GinibreRank(4), 200, seed=1)
+        assert scan(spec, LINEAR, np.int64(10)) == scan(spec, LINEAR, 10)
+
+    @pytest.mark.parametrize("metric", ["linear", None])
+    def test_unknown_metric_raises_before_a_stack_is_read(self, metric):
+        stacks = iter([mems(0.5).mat[None]])
+        with pytest.raises(TypeError):
+            next(scan_points(stacks, metric))
+        assert len(list(stacks)) == 1
+        with pytest.raises(TypeError):
+            scan(EnsembleSpec(GinibreRank(4), 200, seed=1), metric, 10)
 
     def test_deterministic(self):
         spec = EnsembleSpec(GinibreRank(3), 2000, seed=123)
@@ -393,6 +414,21 @@ class TestHillClimb:
         with pytest.raises(OutOfRange):
             hill_climb(mems(0.3), LINEAR, steps=10, rng=np.random.default_rng(0), **kwargs)
 
+    @pytest.mark.parametrize("metric", ["linear", None])
+    def test_unknown_metric_raises_before_any_draw(self, metric):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(TypeError):
+            hill_climb(mems(0.5), metric, steps=10, rng=rng)
+        assert rng.bit_generator.state == state
+
+    def test_start_is_validated_before_any_draw(self):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(TraceNotOne):
+            hill_climb(DensityMatrix(mat=2.0 * mems(0.5).mat), VN, steps=10, rng=rng)
+        assert rng.bit_generator.state == state
+
     def test_widest_parameters_accepted(self):
         best = hill_climb(mems(0.3), LINEAR, steps=10, rng=np.random.default_rng(0), band=1.0)
         assert tangle(best) >= tangle(mems(0.3))
@@ -503,7 +539,8 @@ def test_step_draws_stack_the_wishart_of_each_step(n):
 
 # sha256 of hill_climb witnesses recorded with the one-proposal-per-step climb.  Being
 # bytes, they hold for the floating-point arithmetic of the numpy and BLAS builds they
-# were recorded with (numpy 2.4, OpenBLAS 0.3.31, x86-64).
+# were recorded with (numpy 2.4, OpenBLAS 0.3.31, x86-64, the SkylakeX kernel); under the
+# Haswell or Zen kernels (OPENBLAS_CORETYPE) every one of them differs.
 CLIMB_GOLDEN = {
     ("mems(0.6)", "linear", 60, 1): "3a7d3ff118432ffd4cfac72981a0297480b6252fa17f5435c4f9067f495341c2",
     ("mems(0.6)", "vn", 60, 2): "446b96e7907b8620390864b74eb94b968137d0b73b3a09e020828c9410cc9dad",

@@ -20,6 +20,7 @@ from memslab.sampling import (
     chunk_sizes,
     generate_chunk,
     sample_states,
+    split_specs,
     splitmix64,
     wishart,
 )
@@ -301,6 +302,19 @@ def test_rekeying_a_used_generator_gives_a_fresh_generators_draws(key):
     for draw in (lambda g: g.integers(0, 1 << 31, size=5, dtype=np.int32), lambda g: g.random(3),
                  lambda g: g.standard_normal((2, 4, 4)), lambda g: g.dirichlet(np.ones(4))):
         assert draw(rng).tolist() == draw(fresh).tolist()
+
+
+SPLIT_KINDS = [GinibreRank(rank) for rank in (1, 2, 3, 4)] + [PureMixture(size) for size in (2, 3, 5)]
+
+
+@pytest.mark.parametrize("count, sizes", [
+    (1, [1]), (5, [1, 1, 1, 1, 1]), (7, [1] * 7), (9, [2, 2, 1, 1, 1, 1, 1]), (40, [6, 6, 6, 6, 6, 5, 5]),
+])
+def test_split_specs_spreads_the_count_and_keys_each_part(count, sizes):
+    specs = split_specs(SPLIT_KINDS, count, seed=(1 << 64) - 3)
+    assert [spec.count for spec in specs] == sizes  # the first count % 7 parts one larger, empty parts dropped
+    assert [spec.kind for spec in specs] == SPLIT_KINDS[:len(sizes)]
+    assert [spec.seed for spec in specs] == [((1 << 64) - 3) ^ splitmix64(1 + i) for i in range(len(sizes))]
 
 
 def test_perturb_mems_scan_builds_one_bit_generator(monkeypatch, tmp_path):
