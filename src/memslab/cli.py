@@ -2,8 +2,9 @@
 
 Subcommands: measure, curve, scan, certify, concentrate.  All output is
 deterministic given the flags (scans and certifications take an explicit
---seed).  Exit codes: 0 success / certification PASS, 2 usage or input
-error, 3 certification FAIL.
+--seed).  certify also writes screened=N to stderr: the samples whose tangle
+its bound decided.  Exit codes: 0 success / certification PASS, 2 usage or
+input error, 3 certification FAIL.
 """
 
 from __future__ import annotations
@@ -154,6 +155,7 @@ def cmd_certify(args) -> int:
     print(f"samples={report.samples_total}")
     print(f"max_violation={fmt(report.max_violation)}")
     print(f"verdict={report.verdict}")
+    print(f"screened={report.screened}", file=sys.stderr)
     return 0 if report.passed else CERTIFY_FAIL
 
 

@@ -7,7 +7,9 @@ linear entropy: tau = gamma^2 with
 
 Both branches of g make S_L a quadratic in gamma, so the envelope is inverted
 in closed form (branch switch at S_L = 16/27).  certify() checks that no
-sampled state exceeds the envelope; scan() records per-bin maxima for plots.
+sampled state exceeds the envelope, running the tangle kernel only on the
+states that a cheap upper bound (measures.tangle_bound: the spectral and the
+reduced-purity bound) cannot decide; scan() records per-bin maxima for plots.
 hill_climb() is a stochastic probe: under the linear-entropy metric it
 cannot beat the envelope, while at fixed von Neumann entropy it does find
 states above the family, which is exactly the sense in which the family is
@@ -26,7 +28,7 @@ import numpy as np
 
 from .linalg import psd_root
 from .linalg import psd_sqrt  # not called here: bench/spans.py binds frontier.psd_sqrt
-from .measures import linear_entropy_batch, linear_entropy_of_mat, tangle_of_mat, tangle_root
+from .measures import linear_entropy_batch, linear_entropy_of_mat, tangle_bound, tangle_of_mat, tangle_root
 from .measures import von_neumann_batch
 from .measures import von_neumann_entropy  # not called here: bench/spans.py binds frontier.von_neumann_entropy
 from .sampling import BLOCK, EnsembleSpec, _wishart, sample_states
@@ -38,6 +40,7 @@ EPS_HI, EPS_LO = 0.1, 1e-4  # hill_climb's proposal weight scale, first and last
 
 S_BRANCH = 16.0 / 27.0  # linear entropy at the gamma = 2/3 branch point
 S_EDGE = 8.0 / 9.0      # largest linear entropy the boundary family reaches
+MARGIN = 1e-12  # certify_states' screen keeps a state whose violation bound is within MARGIN of the threshold
 
 
 class UnsupportedMetric(ValueError):
@@ -124,13 +127,16 @@ class CertificationReport:
 
     max_violation is the largest tau - envelope(S_L) over the ensemble
     (signed; positive would mean a sample beat the envelope).  The verdict
-    is PASS exactly when max_violation <= tolerance.
+    is PASS exactly when max_violation <= tolerance.  screened counts the
+    samples whose tangle bound alone showed they could not reach the largest
+    violation, so their tangle was never computed.
     """
 
     max_violation: float
     violating_state: Optional[DensityMatrix]
     samples_total: int
     tolerance: float
+    screened: int = 0
 
     @property
     def passed(self) -> bool:
@@ -206,7 +212,18 @@ def scan(spec: EnsembleSpec, metric: MixednessMetric, bins: int) -> FrontierEnve
 def certify_states(stacks: Iterable[np.ndarray], tolerance: float) -> CertificationReport:
     """Envelope-violation search over (n, 4, 4) stacks of states (linear metric).
 
-    scan_points validates and measures each stack.  The witness is the first
+    Each stack is validated with states.validate_eigh, as scan_points does, and
+    its envelope taken at the clipped linear entropy.  measures.tangle_bound
+    then bounds each state's violation u = bound - envelope from the same eigh,
+    and only states with u >= threshold - MARGIN reach the tangle kernel
+    (psd_root of their slice of that eigh, then tangle_root).  The threshold is
+    the running worst violation; on the first stack, which has none, it is the
+    exact violation of the state with the largest u.  A state left out has a
+    violation below the threshold (no tested state read more than 5.2e-15
+    above its bound, against MARGIN = 1e-12), so it can neither set nor tie the
+    maximum, and the kernel gives a state the same bits in a subset of its
+    stack as in the whole: the report is the one measuring every state gives.
+    ``screened`` counts the states the bound decided.  The witness is the first
     state to reach the largest violation; it is the only state built as a
     DensityMatrix.
     """
@@ -214,19 +231,30 @@ def certify_states(stacks: Iterable[np.ndarray], tolerance: float) -> Certificat
         raise OutOfRange(f"tolerance {tolerance} must be positive and finite")
     worst = -math.inf
     witness = None
-    total = 0
-    for taus, mixedness, mats in scan_points(stacks, MixednessMetric.LINEAR):
+    total = screened = 0
+    for raw in stacks:
+        mats, w, v = validate_eigh(raw)
         if not len(mats):
             continue
         total += len(mats)
-        violations = taus - _envelope(np.clip(mixedness, 0.0, 1.0))
+        envelope = _envelope(np.clip(linear_entropy_batch(mats), 0.0, 1.0))
+        bounds = tangle_bound(mats, w) - envelope
+        threshold = worst
+        if worst == -math.inf:
+            j = int(np.argmax(bounds))
+            threshold = float(tangle_root(psd_root(w[j:j + 1], v[j:j + 1]))[0] - envelope[j])
+        keep = np.flatnonzero(bounds >= threshold - MARGIN)
+        screened += len(mats) - len(keep)
+        if not len(keep):
+            continue
+        violations = tangle_root(psd_root(w[keep], v[keep])) - envelope[keep]
         k = int(np.argmax(violations))  # the first index of the stack's maximum
         if violations[k] > worst:  # strict, so a tie in a later stack keeps the earlier witness
-            worst, witness = float(violations[k]), mats[k]
+            worst, witness = float(violations[k]), mats[keep[k]]
     if total == 0:
         raise OutOfRange("cannot certify an empty collection of states")
     return CertificationReport(max_violation=worst, violating_state=make_density(witness),
-                               samples_total=total, tolerance=tolerance)
+                               samples_total=total, tolerance=tolerance, screened=screened)
 
 
 def certify(spec: EnsembleSpec, tolerance: float) -> CertificationReport:

@@ -24,6 +24,7 @@ _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 # sigma_y (x) sigma_y: the anti-diagonal (-1, +1, +1, -1), real.
 SPIN_FLIP_MAT = np.kron(_SIGMA_Y, _SIGMA_Y).real.astype(np.float64)
 _SPIN_FLIP_COMPLEX = SPIN_FLIP_MAT.astype(np.complex128)
+BOUND_DELTA = 1e-14  # tangle_bound's outward eigenvalue shift; at 1e-15 rotated mems states beat B^2 by 5e-16
 
 
 @dataclass(frozen=True)
@@ -177,3 +178,28 @@ def tangle_root(root: np.ndarray) -> np.ndarray:
     """Tangles of a stack that states.validate_eigh accepted, from linalg.psd_root of its eigh: the one tangle kernel."""
     c = _concurrences(_spin_flip_values(root))
     return c * c
+
+
+def tangle_bound(mats: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """An upper bound on tangle_root's tangle of each state of a validated stack, from its eigh eigenvalues ``w``.
+
+    The smaller of two bounds, each exact on some states and both of degree 2 in rho, like the tangle, so a
+    trace off 1 by up to TRACE_TOL is bounded too.  Both read the state that the kernel measures: eigh's
+    lower triangle, with each eigenvalue below 0 clamped to 0 (linalg.psd_root).
+    - Spectral: B(lambda)^2 with B = lambda1 - lambda3 - 2 sqrt(lambda2 lambda4), lambda descending, the largest
+      concurrence of any state with that spectrum (Ishizaka & Hiroshima, PRA 62, 022310; Verstraete,
+      Audenaert & De Moor, PRA 64, 012316).  It is read outward, lambda1 raised and the rest lowered by
+      BOUND_DELTA, since a zero eigenvalue's rounding noise pulls sqrt(lambda2 lambda4) far off.
+    - Reduced purity: 2 ((Tr rho)^2 - max(Tr rho_A^2, Tr rho_B^2)), which is C^2 on pure states and holds on
+      mixed ones by the convexity of C and of Tr rho_A^2.  The clamp adds ``neg``, the clamped eigenvalues'
+      mass, to the trace and lowers each reduced purity by at most neg^2.
+    """
+    low = np.maximum(w[:, :3] - BOUND_DELTA, 0.0)  # lambda4, lambda3, lambda2
+    spectral = np.maximum(w[:, 3] + BOUND_DELTA - low[:, 1] - 2.0 * np.sqrt(low[:, 2] * low[:, 0]), 0.0)
+    d = np.einsum("nii->ni", mats).real
+    off_a, off_b = np.abs(mats[:, 2, 0] + mats[:, 3, 1]), np.abs(mats[:, 1, 0] + mats[:, 3, 2])  # rho_A, rho_B (1, 0)
+    purity_a = (d[:, 0] + d[:, 1]) ** 2 + (d[:, 2] + d[:, 3]) ** 2 + 2.0 * off_a * off_a
+    purity_b = (d[:, 0] + d[:, 2]) ** 2 + (d[:, 1] + d[:, 3]) ** 2 + 2.0 * off_b * off_b
+    neg = np.maximum(-w, 0.0).sum(axis=1)
+    reduced = 2.0 * ((d.sum(axis=1) + neg) ** 2 + neg * neg - np.maximum(purity_a, purity_b))
+    return np.minimum(spectral * spectral, reduced)

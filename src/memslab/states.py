@@ -8,9 +8,11 @@ a vector normalization is unambiguous.
 
 Stacks have two validators with one check routine: validate_stack reads the
 PSD check from a stacked eigvalsh, and validate_eigh from a stacked eigh that
-it returns.  Every measuring path (frontier.scan_points, and tangle_batch
-under every other tangle) validates with validate_eigh and measures that
-eigh's root with measures.tangle_root, so it decomposes each state once.
+it returns.  Every measuring path (frontier.scan_points,
+frontier.certify_states, and tangle_batch under every other tangle)
+validates with validate_eigh and measures that eigh's root with
+measures.tangle_root, so it decomposes each state once; certify_states
+measures only the states its tangle bound cannot decide.
 """
 
 from __future__ import annotations

@@ -4,6 +4,7 @@ import hashlib
 import io
 import math
 import os
+import re
 import runpy
 import subprocess
 import sys
@@ -240,6 +241,17 @@ class TestCertify:
             assert run_cli("certify", "--ensemble", name, "--count", "1030", "--seed", "3") == 0
             printed.append(capsys.readouterr().out)
         assert printed[0] == printed[1]
+
+    def test_screened_count_goes_to_stderr(self, capsys, monkeypatch):
+        reports = []
+        certify_states = cli.frontier.certify_states
+        monkeypatch.setattr(cli.frontier, "certify_states",
+                            lambda stacks, tolerance: reports.append(certify_states(stacks, tolerance)) or reports[0])
+        assert run_cli("certify", "--count", "2000", "--seed", "1") == 0
+        out, err = capsys.readouterr()
+        assert err == f"screened={reports[0].screened}\n"
+        assert 0 < reports[0].screened < 2000
+        assert sorted(parse_kv(out)) == ["max_violation", "samples", "verdict"]
 
     def test_negative_tolerance(self):
         assert run_cli("certify", "--count", "10", "--tolerance", "-1") == 2
@@ -602,7 +614,9 @@ def test_numeric_flag_exit_codes(flag, data):
         # "--flag=value": argparse would read a separate "-inf" or "-1e-05" as a flag
         code, out, err = run_captured([*argv, f"--{flag}={value!r}"])
         if valid:
-            assert (code, err) == (0, "")
+            assert code == 0
+            # certify's one stderr line counts the samples its tangle bound decided
+            assert re.fullmatch(r"screened=\d+\n" if command[0] == "certify" else "", err)
         else:
             assert_usage_error(code, out, err)
             assert not os.listdir(workdir)  # no --out file, not even a header line

@@ -1,10 +1,13 @@
 import hashlib
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import cli_kind, random_state
+from conftest import cli_kind, random_local_unitary, random_state
 from memslab import cli, frontier
 from memslab.frontier import (
     LN4,
@@ -28,8 +31,8 @@ from memslab.frontier import (
 )
 from memslab.filtering import best_filter
 from memslab.linalg import psd_root, psd_sqrt
-from memslab.measures import (linear_entropy, linear_entropy_of_mat, tangle, tangle_batch, tangle_of_mat,
-                              von_neumann_batch, von_neumann_entropy)
+from memslab.measures import (linear_entropy, linear_entropy_of_mat, tangle, tangle_batch, tangle_bound,
+                              tangle_of_mat, tangle_root, von_neumann_batch, von_neumann_entropy)
 from memslab.sampling import (BLOCK, EnsembleSpec, GinibreRank, PerturbAbout, PureMixture,
                               sample_states, splitmix64, wishart)
 from memslab.states import (DensityMatrix, OutOfRange, TraceNotOne, make_density, mems, validate_eigh,
@@ -304,15 +307,138 @@ def test_scan_and_certify_measure_like_validate_then_tangle_batch(name):
             assert taus.tobytes() == tangle_batch(ref).tobytes()  # bit for bit, not approx
             assert mixedness.tobytes() == expected.tobytes()
             assert mats.tobytes() == ref.tobytes()
-    worst, witness = -math.inf, None
-    for ref in validated:
+    assert_certifies_like_every_state_measured(stacks)
+
+
+def reference_certification(stacks):
+    """(max violation, witness, sample count) of the stacks, measuring every state: tangle_batch, then one at a time."""
+    worst, witness, total = -math.inf, None, 0
+    for ref in map(validate_stack, stacks):
+        total += len(ref)
         for tau, mat in zip(tangle_batch(ref).tolist(), ref):
             violation = tau - envelope_tangle(LINEAR, _clipped(linear_entropy_of_mat(mat)))
             if violation > worst:
                 worst, witness = violation, mat
+    return worst, witness, total
+
+
+def assert_certifies_like_every_state_measured(stacks):
+    """certify_states' report on the stacks has the reference's max_violation bits, witness bytes and count."""
+    worst, witness, total = reference_certification(stacks)
     report = certify_states(stacks, tolerance=1e-9)
-    assert report.max_violation == worst
+    assert report.max_violation.hex() == worst.hex()
     assert report.violating_state.mat.tobytes() == witness.tobytes()
+    assert report.samples_total == total
+    return report
+
+
+def _rotated_locally(mats, rng):
+    """Each matrix under its own Haar-random local unitary."""
+    return np.stack([u @ mat @ u.conj().T for mat, u in zip(mats, [random_local_unitary(rng) for _ in mats])])
+
+
+def boundary_states(name, n, seed):
+    """n states of one of the accuracy floor's boundary sets (tests/test_measures.py::TestAccuracyFloor).
+
+    Rank-3 (gamma < 2/3) and rank-2 mems states and rank-3 X states (diag(x + g/2, a, 0, y + g/2) with
+    |00><11| coherences g/2, concurrence g), each under a random local unitary; Gaussian pure states; and
+    pure states with an eigenvalue -eps inside the PSD clamp, (1 + eps) psi psi^dag - eps phi phi^dag.
+    """
+    rng = np.random.default_rng(seed)
+    if name in ("mems-rank3", "mems-rank2"):
+        lo, hi = (0.0, 2 / 3) if name == "mems-rank3" else (2 / 3, 1.0)
+        return _rotated_locally(np.stack([mems(gamma).mat for gamma in rng.uniform(lo, hi, n)]), rng)
+    if name == "x-rank3":
+        x, y, a, g = rng.dirichlet(np.ones(4), n).T
+        mats = np.zeros((n, 4, 4), dtype=np.complex128)
+        mats[:, [0, 1, 3], [0, 1, 3]] = np.stack([x + g / 2, a, y + g / 2], axis=1)
+        mats[:, 0, 3] = mats[:, 3, 0] = g / 2
+        return _rotated_locally(mats, rng)
+    vecs = rng.standard_normal((n, 2, 4)) + 1j * rng.standard_normal((n, 2, 4))
+    psi = vecs[:, 0] / np.linalg.norm(vecs[:, 0], axis=1, keepdims=True)
+    pure = psi[:, :, None] * psi[:, None, :].conj()
+    if name == "pure":
+        return pure
+    phi = vecs[:, 1] - np.einsum("ni,ni->n", psi.conj(), vecs[:, 1])[:, None] * psi  # orthogonal to psi
+    phi /= np.linalg.norm(phi, axis=1, keepdims=True)
+    eps = rng.uniform(1e-11, 1e-10, n)[:, None, None]
+    return (1.0 + eps) * pure - eps * (phi[:, :, None] * phi[:, None, :].conj())
+
+
+BOUNDARY_SETS = ("mems-rank3", "mems-rank2", "x-rank3", "pure", "pure-clamped")
+BOUND_KINDS = {
+    **{f"GinibreRank({k})": GinibreRank(k) for k in (1, 2, 3, 4)},
+    **{f"PureMixture({m})": PureMixture(m) for m in range(1, 7)},
+    **{f"PerturbAbout(mems({g}))": PerturbAbout(mems(g), 0.05) for g in (0.1, 0.5, 0.9)},
+}
+# tangle_root - tangle_bound on these sets at 20k states, seeds 1 and 7, under the OpenBLAS SkylakeX, Haswell, Zen
+# and Prescott kernels: at most 5.2e-15 (pure states; 4.9e-15 on GinibreRank(1)), below 0 on rotated mems and
+# X states and on clamped pure states, and pure states at least -6.4e-15 (the bound is C^2 there).
+BOUND_SLACK = 1e-14
+
+
+def bound_excess(mats):
+    """tangle_root - tangle_bound of each state of a stack."""
+    mats, w, v = validate_eigh(mats)
+    return tangle_root(psd_root(w, v)) - tangle_bound(mats, w)
+
+
+@pytest.mark.parametrize("name", sorted(BOUND_KINDS))
+def test_tangle_bound_holds_on_sampled_states(name):
+    mats = np.concatenate(list(sample_states(EnsembleSpec(BOUND_KINDS[name], 20_000, seed=7))))
+    assert bound_excess(mats).max() <= BOUND_SLACK
+
+
+@pytest.mark.parametrize("name", BOUNDARY_SETS)
+def test_tangle_bound_holds_on_boundary_states(name):
+    excess = bound_excess(boundary_states(name, 4000, seed=1))
+    assert excess.max() <= BOUND_SLACK
+    if name == "pure":  # the reduced-purity bound is C^2 itself on a pure state
+        assert excess.min() >= -BOUND_SLACK
+
+
+def test_screen_margin_dwarfs_the_bound_slack():
+    assert frontier.MARGIN >= 100 * BOUND_SLACK
+
+
+def _bench_certify_mix_specs(seed, monkeypatch):
+    """The EnsembleSpec of each job of bench/workloads.py's certify-mix cycle at ``seed``, read from its jobs."""
+    spec = importlib.util.spec_from_file_location("bench_workloads", Path(__file__).resolve().parents[1]
+                                                  / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses look their module up by name
+    spec.loader.exec_module(workloads)
+    monkeypatch.setattr(frontier, "certify", lambda spec, tolerance: spec)  # a job hands frontier.certify its spec
+    return [job.call() for job in workloads.certify_mix(seed)]
+
+
+def _later_stack_stream():
+    """Two stacks of pure states (violations well below 0), then rotated mems states, which reach about 0."""
+    return [boundary_states("pure", BLOCK, seed=2), boundary_states("pure", BLOCK, seed=3),
+            boundary_states("mems-rank2", 40, seed=4)]
+
+
+SCREEN_STREAMS = {
+    **{name: lambda name=name: np.split(boundary_states(name, 3 * BLOCK, seed=5), 3) for name in BOUNDARY_SETS},
+    "worst-in-a-later-stack": _later_stack_stream,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCREEN_STREAMS))
+def test_screened_certify_reports_like_every_state_measured(name):
+    stacks = SCREEN_STREAMS[name]()
+    report = assert_certifies_like_every_state_measured(stacks)
+    if name == "worst-in-a-later-stack":
+        worst = reference_certification(stacks[:2])[0]
+        assert report.max_violation > worst and report.screened > 0
+
+
+def test_screened_certify_mix_reports_like_every_state_measured(monkeypatch):
+    screened = total = 0
+    for spec in _bench_certify_mix_specs(2, monkeypatch):
+        report = assert_certifies_like_every_state_measured(list(sample_states(spec)))
+        screened, total = screened + report.screened, total + report.samples_total
+    assert 0 < screened < total
 
 
 def _rotated(eigenvalues):
@@ -360,8 +486,10 @@ def test_eigenvalue_within_the_clamp_passes_every_check():
 
 def test_certify_decomposes_each_stack_once(linalg_calls):
     certify(EnsembleSpec(GinibreRank(4), 300, seed=5), 1e-9)  # stacks of 128, 128 and 44
-    # one eigh and one SVD per stack; the one eigvalsh validates the witness (make_density)
-    assert linalg_calls == {"eigh": 3, "eigvalsh": 1, "svd": 3}
+    # one eigh per stack; at most one SVD per stack, of the states the bound kept, and one for the first
+    # stack's threshold; the one eigvalsh validates the witness (make_density)
+    assert (linalg_calls["eigh"], linalg_calls["eigvalsh"]) == (3, 1)
+    assert linalg_calls["svd"] <= 3 + 1
 
 
 def test_vn_scan_cli_decomposes_each_stack_once(linalg_calls, tmp_path):
