@@ -12,7 +12,6 @@ special case B = I.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,8 +19,6 @@ import numpy as np
 from .measures import linear_entropy_batch, tangle_batch, tangle_of_mat
 from .measures import linear_entropy_of_mat  # not called here: bench/spans.py binds filtering.linear_entropy_of_mat
 from .states import DensityMatrix, OutOfRange, _held, make_density, validate_stack
-
-log = logging.getLogger(__name__)
 
 SUCCESS_FLOOR = 1e-14
 KAPPA_LO = 1e-3  # the last kappa of kappa_schedule
@@ -117,7 +114,7 @@ def trajectory(start: DensityMatrix, schedule: list[LocalFilter]) -> list[Trajec
 
     Each point is an independent single-shot application to ``start``.
     Filters whose success probability vanishes are skipped (the returned
-    points carry their filter, so gaps are visible to the caller).  The
+    points carry their filter; len(schedule) - len(points) counts them).  The
     filtered states, built with apply_filter's arithmetic, are validated and
     measured as one stack, so every point is bit for bit its result.
     """
@@ -126,9 +123,6 @@ def trajectory(start: DensityMatrix, schedule: list[LocalFilter]) -> list[Trajec
     d = _diagonals(*np.array([(f.a0, f.a1, f.b0, f.b1) for f in schedule]).T)
     p = _success(start.mat, d)
     kept = np.flatnonzero(p > SUCCESS_FLOOR)
-    if kept.size < len(schedule):
-        log.debug("skipping %d filters with success probability at or below %.0e",
-                  len(schedule) - kept.size, SUCCESS_FLOOR)
     mats = _filtered(start.mat, d[kept], p[kept])
     # tangle_batch validates the stack (states.validate_eigh), so it runs before linear_entropy_batch
     return [TrajectoryPoint(filter=schedule[k], s_linear=s, tangle=tau, success_prob=float(p[k]))

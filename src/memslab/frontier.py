@@ -32,7 +32,8 @@ from .measures import linear_entropy_batch, linear_entropy_of_mat, tangle_bound,
 from .measures import von_neumann_batch
 from .measures import von_neumann_entropy  # not called here: bench/spans.py binds frontier.von_neumann_entropy
 from .sampling import BLOCK, EnsembleSpec, _wishart, sample_states
-from .states import DensityMatrix, OutOfRange, _held, make_density, mems_population, validate_eigh, werner
+from .states import DensityMatrix, OutOfRange, _held, mems_population, validate_eigh, werner
+from .states import make_density  # not called here: bench/spans.py binds frontier.make_density
 
 LN4 = math.log(4.0)
 WINDOW = 8  # hill_climb proposals whose tangles are computed as one stack
@@ -90,6 +91,7 @@ def envelope_tangle(metric: MixednessMetric, s: float) -> float:
     g = gamma/2, for 16/27 < s <= 8/9 the frozen-population branch (where the
     relation is affine), and 0 beyond 8/9 where the family ends.
     """
+    _check_metric(metric)
     if metric is not MixednessMetric.LINEAR:
         raise UnsupportedMetric("analytic envelope is only available for the linear-entropy metric")
     if not 0.0 <= s <= 1.0:
@@ -223,9 +225,9 @@ def certify_states(stacks: Iterable[np.ndarray], tolerance: float) -> Certificat
     above its bound, against MARGIN = 1e-12), so it can neither set nor tie the
     maximum, and the kernel gives a state the same bits in a subset of its
     stack as in the whole: the report is the one measuring every state gives.
-    ``screened`` counts the states the bound decided.  The witness is the first
-    state to reach the largest violation; it is the only state built as a
-    DensityMatrix.
+    ``screened`` counts the states the bound decided.  The witness, the only
+    state built as a DensityMatrix, is the first to reach the largest
+    violation: its validated row, wrapped by states._held as hill_climb's is.
     """
     if not 0.0 < tolerance < math.inf:
         raise OutOfRange(f"tolerance {tolerance} must be positive and finite")
@@ -253,7 +255,7 @@ def certify_states(stacks: Iterable[np.ndarray], tolerance: float) -> Certificat
             worst, witness = float(violations[k]), mats[keep[k]]
     if total == 0:
         raise OutOfRange("cannot certify an empty collection of states")
-    return CertificationReport(max_violation=worst, violating_state=make_density(witness),
+    return CertificationReport(max_violation=worst, violating_state=_held(witness),
                                samples_total=total, tolerance=tolerance, screened=screened)
 
 

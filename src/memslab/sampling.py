@@ -130,6 +130,8 @@ class EnsembleSpec:
 def split_specs(kinds: Sequence[EnsembleKind], count: int, seed: int) -> list[EnsembleSpec]:
     """``count`` states over ``kinds``, the first ``count % len(kinds)`` parts one larger, empty parts dropped;
     part i is drawn from the seed ``seed ^ splitmix64(1 + i)``."""
+    if not kinds:
+        raise OutOfRange("need at least one ensemble kind")
     share, extra = divmod(count, len(kinds))
     parts = ((i, kind, share + (i < extra)) for i, kind in enumerate(kinds))
     return [EnsembleSpec(kind, size, seed ^ splitmix64(1 + i)) for i, kind, size in parts if size]

@@ -50,8 +50,8 @@ class DensityMatrix:
 
     Instances are immutable; the wrapped array is a read-only copy that owns
     its data.  Build through :func:`make_density` or a family constructor;
-    filtering.best_filter and frontier.hill_climb wrap, through _held, a
-    matrix that their own stack validation already accepted.
+    best_filter, hill_climb and certify_states wrap, through _held, a matrix
+    that their own stack validation already accepted.
     """
 
     mat: np.ndarray

@@ -114,6 +114,11 @@ class TestEnvelope:
         with pytest.raises(UnsupportedMetric):
             envelope_tangle(MixednessMetric.VON_NEUMANN_NORMALIZED, 0.5)
 
+    @pytest.mark.parametrize("metric", ["linear", None])
+    def test_unknown_metric_raises_type_error(self, metric):
+        with pytest.raises(TypeError):  # as scan_points and hill_climb raise, not UnsupportedMetric
+            envelope_tangle(metric, 0.5)
+
     def test_out_of_range(self):
         with pytest.raises(OutOfRange):
             envelope_tangle(LINEAR, -0.1)
@@ -487,8 +492,8 @@ def test_eigenvalue_within_the_clamp_passes_every_check():
 def test_certify_decomposes_each_stack_once(linalg_calls):
     certify(EnsembleSpec(GinibreRank(4), 300, seed=5), 1e-9)  # stacks of 128, 128 and 44
     # one eigh per stack; at most one SVD per stack, of the states the bound kept, and one for the first
-    # stack's threshold; the one eigvalsh validates the witness (make_density)
-    assert (linalg_calls["eigh"], linalg_calls["eigvalsh"]) == (3, 1)
+    # stack's threshold; the witness is not validated again (no eigvalsh)
+    assert (linalg_calls["eigh"], linalg_calls["eigvalsh"]) == (3, 0)
     assert linalg_calls["svd"] <= 3 + 1
 
 

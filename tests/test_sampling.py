@@ -317,6 +317,11 @@ def test_split_specs_spreads_the_count_and_keys_each_part(count, sizes):
     assert [spec.seed for spec in specs] == [((1 << 64) - 3) ^ splitmix64(1 + i) for i in range(len(sizes))]
 
 
+def test_split_specs_needs_a_kind():
+    with pytest.raises(OutOfRange):
+        split_specs([], 10, seed=1)
+
+
 def test_perturb_mems_scan_builds_one_bit_generator(monkeypatch, tmp_path):
     built = _count_philox(monkeypatch)
     assert cli.run(["scan", "--ensemble", "perturb-mems", "--count", "38", "--out", str(tmp_path / "p.csv")]) == 0
