@@ -33,7 +33,7 @@ from .frontier import (
     scan,
     werner_curve,
 )
-from .linalg import NotHermitian, NotPSD, hermitian_eig, psd_sqrt
+from .linalg import NotHermitian, NotPSD
 from .measures import (
     MeasureReport,
     concurrence,

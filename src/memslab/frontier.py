@@ -138,7 +138,7 @@ class CertificationReport:
     violating_state: Optional[DensityMatrix]
     samples_total: int
     tolerance: float
-    screened: int = 0
+    screened: int
 
     @property
     def passed(self) -> bool:
@@ -161,25 +161,25 @@ def _mixedness(metric: MixednessMetric, mats: np.ndarray) -> np.ndarray:
     return von_neumann_batch(mats) / LN4
 
 
-ScanStack = tuple[np.ndarray, np.ndarray, np.ndarray]  # (tangles, mixedness, states); mixedness not clipped
+ScanStack = tuple[np.ndarray, np.ndarray]  # (tangles, mixedness) of one stack; mixedness not clipped
 
 
 def scan_points(stacks: Iterable[np.ndarray], metric: MixednessMetric) -> Iterator[ScanStack]:
-    """The tangles and mixedness of (n, 4, 4) stacks, one triple per stack, in order.
+    """The tangles and mixedness of (n, 4, 4) stacks, one pair per stack, in order.
 
     Each stack is validated as it is read (states.validate_eigh: the errors of
     validate_stack) and its tangles come from that same eigh, so a stack is
-    decomposed once.  The triple's states are the validated complex128 stack.
-    A ``metric`` that is not a MixednessMetric raises before a stack is read.
+    decomposed once.  A ``metric`` that is not a MixednessMetric raises before
+    a stack is read.
     """
     _check_metric(metric)
     for raw in stacks:
         mats, w, v = validate_eigh(raw)
-        yield tangle_root(psd_root(w, v)), _mixedness(metric, mats), mats
+        yield tangle_root(psd_root(w, v)), _mixedness(metric, mats)
 
 
 def bin_maxima(stacks: Iterable[ScanStack], bins: int) -> FrontierEnvelope:
-    """Per-bin tangle maxima of scan_points stacks.
+    """Per-bin tangle maxima of scan_points stacks; every state counts once in samples_total.
 
     ``bins``, an integer of at least 10, is checked before the first stack is
     read.  Only the occupied bins' maxima and counts are kept, in a dict keyed
@@ -189,8 +189,8 @@ def bin_maxima(stacks: Iterable[ScanStack], bins: int) -> FrontierEnvelope:
         raise OutOfRange(f"need at least 10 bins, got {bins}")
     occupied: dict[int, list] = {}  # bin index -> [max tangle, count]
     total = 0
-    for taus, mixedness, mats in stacks:
-        total += len(mats)
+    for taus, mixedness in stacks:
+        total += len(taus)
         # per state in Python: a lexsort reduction measured slower on stacks of about 40 states
         for tau, mix in zip(taus.tolist(), np.clip(mixedness, 0.0, 1.0).tolist()):
             idx = min(int(mix * bins), bins - 1)
@@ -269,7 +269,7 @@ def _step_draws(rng: np.random.Generator, n: int, eps: float,
     """n hill_climb steps' weights, Wishart products and support-weighted flags, and the next step's eps.
 
     Drawn from ``rng`` step by step into the first ``rank`` columns of one zero (n, 2, 4, 4) factor array;
-    the zero columns add exact zeros, so its one product has the bits of sampling.wishart per step.
+    the zero columns add exact zeros, so each step's product has the bits of _wishart of its own (2, 4, rank) draw.
     """
     weights, support_weighted = np.empty(n), np.empty(n, dtype=bool)
     normals = np.zeros((n, 2, 4, 4))

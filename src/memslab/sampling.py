@@ -30,6 +30,7 @@ from.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import groupby
 from typing import Callable, Iterable, Iterator, Sequence, Union
@@ -80,7 +81,7 @@ class GinibreRank:
     rank: int
 
     def __post_init__(self):
-        if self.rank not in (1, 2, 3, 4):
+        if operator.index(self.rank) not in (1, 2, 3, 4):
             raise OutOfRange(f"ginibre rank {self.rank} outside 1..4")
 
 
@@ -91,7 +92,7 @@ class PureMixture:
     size: int
 
     def __post_init__(self):
-        if self.size not in (1, 2, 3, 4, 5, 6):
+        if operator.index(self.size) not in (1, 2, 3, 4, 5, 6):
             raise OutOfRange(f"pure mixture size {self.size} outside 1..6")
 
 
@@ -112,18 +113,18 @@ EnsembleKind = Union[GinibreRank, PureMixture, PerturbAbout]
 
 @dataclass(frozen=True, eq=False)
 class EnsembleSpec:
-    """A reproducible ensemble: what to draw, how many, from which seed."""
+    """A reproducible ensemble: what to draw, how many, from which seed (count and seed are ints)."""
 
     kind: EnsembleKind
     count: int
     seed: int
 
     def __post_init__(self):
-        if self.count < 1:
+        if operator.index(self.count) < 1:
             raise OutOfRange(f"sample count {self.count} must be >= 1")
         if self.count > MAX_COUNT:
             raise OutOfRange(f"sample count {self.count} exceeds 2^64 chunks of {CHUNK}")
-        if not 0 <= self.seed <= _MASK64:
+        if not 0 <= operator.index(self.seed) <= _MASK64:
             raise OutOfRange("seed must fit in 64 unsigned bits")
 
 
@@ -141,11 +142,6 @@ def _wishart(normals: np.ndarray) -> np.ndarray:
     """G G^dag for the complex factor G = normals[..., 0, :, :] + i normals[..., 1, :, :]."""
     g = normals[..., 0, :, :] + 1j * normals[..., 1, :, :]
     return g @ g.conj().swapaxes(-1, -2)
-
-
-def wishart(rng: np.random.Generator, rank: int) -> np.ndarray:
-    """Unnormalized G G^dag from a 4x(rank) complex Gaussian factor."""
-    return _wishart(rng.standard_normal((2, 4, rank)))
 
 
 def _unit_trace(wish: np.ndarray) -> np.ndarray:

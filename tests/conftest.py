@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from memslab import cli
-from memslab.sampling import sample_states, wishart
+from memslab.sampling import _wishart, sample_states
 from memslab.states import make_density
 
 
@@ -12,7 +12,7 @@ def rng_from(seed: int) -> np.random.Generator:
 
 def random_state(seed: int, rank: int = 4):
     """One reproducible Ginibre state of the given rank (test helper, not the library stream)."""
-    w = wishart(rng_from(seed), rank)
+    w = _wishart(rng_from(seed).standard_normal((2, 4, rank)))
     return make_density(w / np.trace(w).real)
 
 

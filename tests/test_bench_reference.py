@@ -28,7 +28,8 @@ def workloads():
         del sys.modules[spec.name]
 
 
-@pytest.mark.parametrize("name", ["certify-mix", "scan-cli", "filter-climb"])
+@pytest.mark.parametrize("name", [pytest.param("certify-mix", marks=pytest.mark.skylakex_bytes),
+                                  pytest.param("scan-cli", marks=pytest.mark.skylakex_bytes), "filter-climb"])
 def test_seed_1_cycle_matches_reference(workloads, name, tmp_path):
     workload = workloads.build(name, workloads.DEFAULT_SEED, str(tmp_path))
     assert workload.reference is not None

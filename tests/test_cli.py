@@ -168,7 +168,7 @@ class TestScan:
                        "--out", str(tmp_path / "sparse.csv")) == 0
         env = frontier.scan(spec, linear, bins)
         assert sum(stat.count for stat in env.bins) == env.samples_total == 200
-        mixedness = np.concatenate([mix for _, mix, _ in frontier.scan_points(sampling.sample_states(spec), linear)])
+        mixedness = np.concatenate([mix for _, mix in frontier.scan_points(sampling.sample_states(spec), linear)])
         cells = sorted({min(int(s * bins), bins - 1) for s in np.clip(mixedness, 0.0, 1.0).tolist()})
         assert [stat.lo for stat in env.bins] == [idx / bins for idx in cells]
         rows = [",".join(map(cli.fmt, (stat.lo, stat.hi, stat.max_tangle))) for stat in env.bins]
@@ -264,7 +264,7 @@ class TestCertify:
     def test_fail_exit_code(self, capsys, monkeypatch):
         # force a verdict flip to exercise the exit-code contract
         monkeypatch.setattr(cli.frontier, "certify_states", lambda states, tolerance:
-                            cli.frontier.CertificationReport(1.0, None, 10, tolerance))
+                            cli.frontier.CertificationReport(1.0, None, 10, tolerance, screened=0))
         assert run_cli("certify", "--count", "10") == 3
         assert parse_kv(capsys.readouterr().out)["verdict"] == "FAIL"
 
@@ -328,7 +328,8 @@ class TestPerturbMemsGoldens:
         39000: ("7437eaeaa5c1862d0121ff670c34e16741990411a53d5f5a720669a0c35d6fe3", "e5a98701235e2043"),
     }
 
-    @pytest.mark.parametrize("metric, count", sorted(SCAN))
+    @pytest.mark.parametrize("metric, count", [pytest.param(*key, marks=pytest.mark.skylakex_bytes) if key[1] >= 1000
+                                               else key for key in sorted(SCAN)])
     def test_scan_csvs(self, tmp_path, metric, count):
         out = tmp_path / "p.csv"
         assert run_cli("scan", "--ensemble", "perturb-mems", "--count", str(count), "--seed", "11",

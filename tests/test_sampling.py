@@ -21,8 +21,8 @@ from memslab.sampling import (
     generate_chunk,
     sample_states,
     split_specs,
+    _wishart,
     splitmix64,
-    wishart,
 )
 from memslab.states import OutOfRange, make_density, mems, validate_stack, werner
 
@@ -51,6 +51,23 @@ class TestSpecValidation:
         with pytest.raises(OutOfRange):
             EnsembleSpec(GinibreRank(4), 1, -1)
         EnsembleSpec(GinibreRank(4), 1, 2**64 - 1)
+
+    @pytest.mark.parametrize("build", [
+        lambda: EnsembleSpec(GinibreRank(4), 10.5, 1),
+        lambda: EnsembleSpec(GinibreRank(4), 10, 1.5),
+        lambda: GinibreRank(4.0),
+        lambda: split_specs([PerturbAbout(base, 0.02) for base in cli.PERTURB_BASES], 10.5, 1),
+    ], ids=["count", "seed", "rank", "split-count"])
+    def test_non_integer_parameters_raise_when_built(self, build):
+        # at construction, not as a bare TypeError from range or ^ when the states are drawn
+        with pytest.raises(TypeError):
+            build()
+
+    def test_numpy_integers_pass(self):
+        spec = EnsembleSpec(GinibreRank(np.int64(2)), np.int32(3), np.uint64(5))
+        assert PureMixture(np.int8(6)).size == 6
+        assert np.array_equal(np.concatenate(list(sample_states(spec))),
+                              np.concatenate(list(sample_states(EnsembleSpec(GinibreRank(2), 3, 5)))))
 
     def test_count_bound_is_where_chunk_keys_wrap(self):
         # chunk 2^64 + j would be keyed like chunk j and redraw its states
@@ -257,7 +274,7 @@ def test_wishart_matches_two_draw_reference(rank):
     ours, ref = chunk_generator(3, rank), chunk_generator(3, rank)
     for _ in range(200):
         g = ref.standard_normal((4, rank)) + 1j * ref.standard_normal((4, rank))
-        assert np.array_equal(wishart(ours, rank), g @ g.conj().T)
+        assert np.array_equal(_wishart(ours.standard_normal((2, 4, rank))), g @ g.conj().T)
 
 
 def _drawn(kind, rng, n):
