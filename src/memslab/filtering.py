@@ -12,17 +12,20 @@ special case B = I.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import HERM_TOL, PSD_CLAMP, herm_defect
 from .measures import linear_entropy_batch, tangle_batch, tangle_of_mat
 from .measures import linear_entropy_of_mat  # not called here: bench/spans.py binds filtering.linear_entropy_of_mat
-from .states import DensityMatrix, OutOfRange, _held, make_density, validate_stack
+from .states import TRACE_TOL, DensityMatrix, OutOfRange, TraceNotOne, _held, make_density, validate_stack
 
 SUCCESS_FLOOR = 1e-14
 KAPPA_LO = 1e-3  # the last kappa of kappa_schedule
 TIE_RTOL = 1e-13  # best_filter: grid tangles within this (relative) of the largest are tied
+_ROUNDING = 256 * np.finfo(np.float64).eps  # best_filter's rounding margin per unit of amp ||rho||_F
 
 
 class VanishingSuccess(ValueError):
@@ -80,11 +83,21 @@ def _filtered(rho: np.ndarray, d: np.ndarray, p: np.ndarray) -> np.ndarray:
     return (d[..., :, None] * rho) * d[..., None, :] / p[..., None, None]
 
 
+def _check_trace(mat: np.ndarray) -> None:
+    """make_density's trace check and error, on a start whose filtered states dividing by p normalizes."""
+    off = abs(np.einsum("nii->n", np.asarray(mat, dtype=np.complex128)[None])[0] - 1.0)
+    if off > TRACE_TOL:
+        raise TraceNotOne(f"|Tr rho - 1| = {off:.3e} exceeds {TRACE_TOL:.0e}")
+
+
 def apply_filter(rho: DensityMatrix, f: LocalFilter) -> FilterOutcome:
     """Filtered state (A (x) B) rho (A (x) B)^dag / p and its success probability.
 
-    Raises VanishingSuccess when p falls at or below the numerical floor.
+    Raises TraceNotOne, as make_density does, when the start's trace is off
+    (dividing by p would hide it), and VanishingSuccess when p falls at or
+    below the numerical floor.
     """
+    _check_trace(rho.mat)
     d = f.diagonal()
     p = _success(rho.mat, d)
     if p <= SUCCESS_FLOOR:
@@ -104,7 +117,7 @@ def one_sided_filter(kappa: float) -> LocalFilter:
 
 def kappa_schedule(steps: int) -> np.ndarray:
     """Geometric kappa sweep of ``steps`` values from 1 down to KAPPA_LO."""
-    if steps < 1:
+    if operator.index(steps) < 1:
         raise OutOfRange(f"need at least 1 step, got {steps}")
     return np.geomspace(1.0, KAPPA_LO, steps)
 
@@ -116,10 +129,12 @@ def trajectory(start: DensityMatrix, schedule: list[LocalFilter]) -> list[Trajec
     Filters whose success probability vanishes are skipped (the returned
     points carry their filter; len(schedule) - len(points) counts them).  The
     filtered states, built with apply_filter's arithmetic, are validated and
-    measured as one stack, so every point is bit for bit its result.
+    measured as one stack, so every point is bit for bit its result.  A
+    start whose trace is off raises TraceNotOne first, as apply_filter does.
     """
     if not schedule:
         raise OutOfRange("filter schedule is empty")
+    _check_trace(start.mat)
     d = _diagonals(*np.array([(f.a0, f.a1, f.b0, f.b1) for f in schedule]).T)
     p = _success(start.mat, d)
     kept = np.flatnonzero(p > SUCCESS_FLOOR)
@@ -127,6 +142,17 @@ def trajectory(start: DensityMatrix, schedule: list[LocalFilter]) -> list[Trajec
     # tangle_batch validates the stack (states.validate_eigh), so it runs before linear_entropy_batch
     return [TrajectoryPoint(filter=schedule[k], s_linear=s, tangle=tau, success_prob=float(p[k]))
             for k, tau, s in zip(kept.tolist(), tangle_batch(mats).tolist(), linear_entropy_batch(mats).tolist())]
+
+
+def _vouched(rho: np.ndarray, d: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Which filtered states (D rho D) / p the start proves to pass validate_stack (best_filter's certificate)."""
+    if not np.isfinite(rho).all():
+        return np.zeros(p.shape, dtype=bool)
+    margin = _ROUNDING * np.linalg.norm(rho)
+    low = min(float(np.linalg.eigvalsh(rho)[0]), 0.0)
+    reach = max((margin - low) / PSD_CLAMP, (float(herm_defect(rho)) + margin) / HERM_TOL,
+                (np.abs(rho.imag.diagonal()).sum() + margin) / TRACE_TOL)
+    return (d * d).max(axis=-1) / p * reach < 1.0
 
 
 def best_filter(start: DensityMatrix, grid_resolution: int) -> tuple[LocalFilter, FilterOutcome]:
@@ -139,16 +165,35 @@ def best_filter(start: DensityMatrix, grid_resolution: int) -> tuple[LocalFilter
     whose closed form lies within TIE_RTOL (relative) of the largest are
     tied, as filters that differ by an overall scale give the same state;
     ties go to the largest success probability p, then to the
-    lexicographically first grid point.  Every kept filtered state is still
-    validated, in blocks of at most 4096, so a start built without
-    make_density raises NotHermitian or NotPSD even where only filters far
-    from the maximum push its defect past tolerance.  The outcome is the
-    winner's grid state, read-only, and its grid p: bit for bit what
+    lexicographically first grid point.  The outcome is the winner's grid
+    state, read-only, and its grid p: bit for bit what
     apply_filter(start, winner) returns, without validating the state again.
+
+    Every kept filtered state F = D rho D / p passes validate_stack, or the
+    search raises the error validate_stack raises for the first one that
+    fails, in grid order.  The start vouches for most of them: F is
+    congruent to rho, so with amp = max_i d_i^2 / p, in exact arithmetic
+    - lambda_min(F) >= amp min(lambda_min(rho), 0) (Ostrowski's theorem;
+      both eigvalsh read the lower triangle, which the congruence keeps),
+    - ||F - F^dag||_F <= amp ||rho - rho^dag||_F (linalg.herm_defect),
+    - |Tr F - 1| <= amp sum_i |Im rho_ii|.
+    lambda_min(rho) comes from one eigvalsh of the start.  Each right side
+    is widened by amp ||rho||_F _ROUNDING, with _ROUNDING = 256 eps, which
+    covers an eigvalsh backward error of 64 eps ||.||_F on rho and on F
+    (7 eps at most, measured against 40-digit eigenvalues) plus the three
+    roundings of each entry of F, those of p and the checks' own sums, each
+    a few eps times amp ||rho||_F.  A row whose three widened bounds clear
+    -PSD_CLAMP, HERM_TOL and TRACE_TOL cannot fail validate_stack and is
+    not built; a non-finite start vouches for none.  The rest are
+    validated, in grid order and in blocks of at most 4096, so the first
+    failing row, its error type and its message are those of validating
+    every kept row.  A start built without make_density thus raises
+    NotHermitian or NotPSD even where only filters far from the maximum
+    push its defect past tolerance.
     """
-    if grid_resolution < 2:
+    g = operator.index(grid_resolution)
+    if g < 2:
         raise OutOfRange(f"grid resolution {grid_resolution} must be >= 2")
-    g = grid_resolution
     values = np.arange(1, g + 1) / g
     a0, a1, b0, b1 = values[:, None, None, None], values[:, None, None], values[:, None], values
     d = _diagonals(a0, a1, b0, b1).reshape(-1, 4)
@@ -156,13 +201,14 @@ def best_filter(start: DensityMatrix, grid_resolution: int) -> tuple[LocalFilter
     kept = np.flatnonzero(p > SUCCESS_FLOOR)
     if kept.size == 0:
         raise VanishingSuccess("every grid filter has vanishing success probability")
+    unproven = kept[~_vouched(start.mat, d[kept], p[kept])]
     block = 4096
-    for lo in range(0, kept.size, block):
-        idx = kept[lo:lo + block]
+    for lo in range(0, unproven.size, block):
+        idx = unproven[lo:lo + block]
         validate_stack(_filtered(start.mat, d[idx], p[idx]))
     taus = tangle_of_mat(start.mat) * ((a0 * a1 * b0 * b1).reshape(-1)[kept] / p[kept]) ** 2
     top = kept[taus >= taus.max() * (1 - TIE_RTOL)]
     k = top[np.argmax(p[top])]  # argmax takes the first of equal p
     winner = LocalFilter(*(float(values[i]) for i in np.unravel_index(k, (g,) * 4)))
-    state = _held(_filtered(start.mat, d[k], p[k]))  # the grid row validated above, bit for bit
+    state = _held(_filtered(start.mat, d[k], p[k]))  # a grid row that validate_stack accepts or the start vouches for
     return winner, FilterOutcome(state=state, success_prob=float(p[k]))

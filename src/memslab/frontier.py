@@ -310,7 +310,7 @@ def hill_climb(
     per step gives.  sqrt(rho) is the root its tangle was measured from
     (linalg.psd_root of the eigh that validated the start or the window).
     """
-    if steps < 1:
+    if operator.index(steps) < 1:
         raise OutOfRange(f"need at least 1 step, got {steps}")
     if not 0.0 < band < math.inf:
         raise OutOfRange(f"band={band} must be positive and finite")

@@ -51,7 +51,8 @@ class DensityMatrix:
     Instances are immutable; the wrapped array is a read-only copy that owns
     its data.  Build through :func:`make_density` or a family constructor;
     best_filter, hill_climb and certify_states wrap, through _held, a matrix
-    that their own stack validation already accepted.
+    that their own stack validation already accepted (best_filter: or that
+    its start proves would pass it).
     """
 
     mat: np.ndarray
@@ -109,7 +110,7 @@ def validate_eigh(raw) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _held(mat: np.ndarray) -> DensityMatrix:
-    """A DensityMatrix of a read-only copy of ``mat``, one matrix of a stack that _checked accepted."""
+    """A DensityMatrix of a read-only copy of ``mat``, one matrix of a stack that _checked accepted or would."""
     mat = mat.copy()
     mat.flags.writeable = False
     return DensityMatrix(mat=mat)

@@ -5,13 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_state
+from conftest import random_local_unitary, random_state, x_state
+from memslab import filtering
 from memslab.filtering import (
     SUCCESS_FLOOR,
     TIE_RTOL,
     FilterOutcome,
     LocalFilter,
     VanishingSuccess,
+    _diagonals,
+    _filtered,
+    _success,
     apply_filter,
     best_filter,
     kappa_schedule,
@@ -26,6 +30,7 @@ from memslab.states import (
     NotHermitian,
     NotPSD,
     OutOfRange,
+    TraceNotOne,
     bell,
     make_density,
     maximally_mixed,
@@ -194,6 +199,11 @@ class TestKappaSchedule:
         with pytest.raises(OutOfRange):
             kappa_schedule(0)
 
+    def test_steps_must_be_an_integer(self):
+        with pytest.raises(TypeError):
+            kappa_schedule(3.0)
+        assert kappa_schedule(np.int64(3)).tolist() == kappa_schedule(3).tolist()
+
 
 class TestBestFilter:
     def test_bell_keeps_identity(self):
@@ -215,6 +225,13 @@ class TestBestFilter:
     def test_resolution_validated(self):
         with pytest.raises(OutOfRange):
             best_filter(mems(0.5), grid_resolution=1)
+
+    def test_resolution_must_be_an_integer_before_any_work(self, linalg_calls):
+        start = X_STARTS["mems(0.6)"]
+        with pytest.raises(TypeError):
+            best_filter(start, 4.0)
+        assert linalg_calls == {"eigh": 0, "eigvalsh": 0, "svd": 0}
+        assert best_filter(start, np.int64(3))[0] == best_filter(start, 3)[0]
 
     def test_outcome_type(self):
         _, outcome = best_filter(mems(0.5), grid_resolution=3)
@@ -330,13 +347,98 @@ def test_best_filter_matches_x_state_oracle(start, g):
     assert abs(x_state_tangle(outcome.state.mat) - grid_max) <= IDENTITY_TOL
 
 
+def full_grid_best_filter(start, g):
+    """Reference search: best_filter's reduce after validating every kept grid state, then measuring the start.
+
+    One validate_stack of every kept row raises what validating them in
+    blocks does: the error of the first row that fails, in grid order.
+    """
+    values = np.arange(1, g + 1) / g
+    a0, a1, b0, b1 = values[:, None, None, None], values[:, None, None], values[:, None], values
+    d = _diagonals(a0, a1, b0, b1).reshape(-1, 4)
+    p = _success(start.mat, d)
+    kept = np.flatnonzero(p > SUCCESS_FLOOR)
+    if kept.size == 0:
+        raise VanishingSuccess("every grid filter has vanishing success probability")
+    validate_stack(_filtered(start.mat, d[kept], p[kept]))
+    taus = tangle_of_mat(start.mat) * ((a0 * a1 * b0 * b1).reshape(-1)[kept] / p[kept]) ** 2
+    top = kept[taus >= taus.max() * (1 - TIE_RTOL)]
+    k = top[np.argmax(p[top])]
+    winner = LocalFilter(*(float(values[i]) for i in np.unravel_index(k, (g,) * 4)))
+    return winner, FilterOutcome(state=DensityMatrix(mat=_filtered(start.mat, d[k], p[k])), success_prob=float(p[k]))
+
+
+def search_outcome(search, start, g):
+    """The (type, message) of the error a search raises, else its winner, state dtype and bytes, and p."""
+    try:
+        winner, outcome = search(start, g)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return winner, outcome.state.mat.dtype, outcome.state.mat.tobytes(), outcome.success_prob
+
+
+@st.composite
+def adversarial_starts(draw):
+    """A start built without make_density, near or past the edges of the checks its filtered states face.
+
+    A Ginibre state of rank 1-4, or a mems or X state under a random local
+    unitary; its smallest eigenvalue pushed down by up to 1.1e-10, plus
+    anti-Hermitian noise of norm up to 5e-11, scaled to a trace in
+    [1e-3, 1e6], sometimes cut to its real part or given a NaN entry.
+    """
+    rng = np.random.default_rng(draw(seeds))
+    kind = draw(st.sampled_from(["ginibre", "mems", "x"]))
+    if kind == "ginibre":
+        mat = random_state(draw(seeds), draw(st.integers(1, 4))).mat
+    else:
+        base = mems(rng.random()) if kind == "mems" else x_state(*rng.dirichlet(np.ones(5)))
+        u = random_local_unitary(rng)
+        mat = u @ base.mat @ u.conj().T
+    low = np.linalg.eigh(mat)[1][:, 0]
+    mat = mat - draw(st.floats(0.0, 1.1e-10)) * np.outer(low, low.conj())
+    noise = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    noise = noise - noise.conj().T
+    mat = (mat + draw(st.floats(0.0, 5e-11)) * noise / np.linalg.norm(noise)) * draw(
+        st.one_of(st.just(1.0), st.floats(-3.0, 6.0).map(lambda e: 10.0 ** e)))
+    if draw(st.integers(0, 4)) == 0:
+        mat = mat.real.copy()
+    if draw(st.integers(0, 4)) == 0:
+        mat[draw(st.integers(0, 3)), draw(st.integers(0, 3))] = np.nan
+    return DensityMatrix(mat=mat)
+
+
+@given(adversarial_starts(), st.sampled_from([2, 4, 6, 9]))
+@settings(max_examples=200, deadline=None)
+def test_best_filter_matches_full_grid_validation(start, g):
+    assert search_outcome(best_filter, start, g) == search_outcome(full_grid_best_filter, start, g)
+
+
+# a valid start with eigenvalue -9e-11 along |phi->: every filtered state keeps its own above -PSD_CLAMP, but
+# best_filter's bound amplifies it by max_i d_i^2 / p, which is large where a filter weights the empty |01>, |10>
+PHI_PLUS, PHI_MINUS = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2), np.array([1.0, 0.0, 0.0, -1.0]) / np.sqrt(2)
+PARTLY_VOUCHED = make_density((1 + 9e-11) * np.outer(PHI_PLUS, PHI_PLUS) - 9e-11 * np.outer(PHI_MINUS, PHI_MINUS))
+
+
 @pytest.mark.parametrize("g, blocks", [(4, 1), (9, 2)])  # 256 and 6561 grid states
-def test_best_filter_validates_each_block_once_and_returns_its_winner(g, blocks, linalg_calls):
+def test_best_filter_validates_each_block_once_and_returns_its_winner(g, blocks, linalg_calls, monkeypatch):
     _, outcome = best_filter(X_STARTS["mems(0.6)"], g)
-    # one eigvalsh per block of at most 4096 filtered states, none for the winner;
-    # the start's tangle is one eigh and one SVD
-    assert linalg_calls == {"eigh": 1, "eigvalsh": blocks, "svd": 1}
+    # the start's one eigvalsh vouches for every grid state; its tangle is one eigh and one SVD
+    assert linalg_calls == {"eigh": 1, "eigvalsh": 1, "svd": 1}
     assert not outcome.state.mat.flags.writeable
+    stacks = []
+    monkeypatch.setattr(filtering, "validate_stack", lambda mats: stacks.append(mats) or validate_stack(mats))
+    linalg_calls.update(dict.fromkeys(linalg_calls, 0))
+    got = search_outcome(best_filter, PARTLY_VOUCHED, g)
+    # one eigvalsh per block of at most 4096 rows the start cannot vouch for, none for the winner
+    assert linalg_calls == {"eigh": 1, "eigvalsh": 1 + blocks, "svd": 1}
+    assert [len(mats) for mats in stacks[:-1]] == [4096] * (blocks - 1)
+    assert isinstance(got[0], LocalFilter) and got == search_outcome(full_grid_best_filter, PARTLY_VOUCHED, g)
+    values = np.arange(1, g + 1) / g
+    d = _diagonals(values[:, None, None, None], values[:, None, None], values[:, None], values).reshape(-1, 4)
+    grid = iter(_filtered(PARTLY_VOUCHED.mat, d, _success(PARTLY_VOUCHED.mat, d)))
+    rows = np.concatenate(stacks)
+    assert 0 < len(rows) < g ** 4
+    assert all(any(np.array_equal(row, later) for later in grid) for row in rows)  # grid rows, in grid order
 
 
 def unchecked_start(kind):
@@ -344,8 +446,12 @@ def unchecked_start(kind):
 
     The "hidden" starts pass the checks themselves, and so do their filtered
     states near the tangle maximum; only some filters far from it (with
-    a1 = 1/6 at g = 6) amplify the defect past HERM_TOL or PSD_CLAMP.
+    a1 = 1/6 at g = 6) amplify the defect past HERM_TOL or PSD_CLAMP.  The
+    filtered states of the "trace-2" start pass every check; only the start
+    itself fails.
     """
+    if kind == "trace-2":
+        return DensityMatrix(mat=2 * mems(0.5).mat)
     if kind == "not-psd":
         return DensityMatrix(mat=mems(0.5).mat + np.diag([0.05, 0.05, -0.1, 0.0]))
     if kind == "not-hermitian":
@@ -371,10 +477,14 @@ UNCHECKED_KINDS = [("not-psd", NotPSD), ("not-hermitian", NotHermitian),
                    ("hidden-not-psd", NotPSD), ("hidden-not-hermitian", NotHermitian)]
 
 
-@pytest.mark.parametrize("kind, error", UNCHECKED_KINDS)
+@pytest.mark.parametrize("kind, error", UNCHECKED_KINDS + [("trace-2", TraceNotOne)])
 def test_best_filter_validates_every_filtered_state(kind, error):
-    with pytest.raises(error):
-        best_filter(unchecked_start(kind), 6)
+    start = unchecked_start(kind)
+    with pytest.raises(error) as expected:
+        full_grid_best_filter(start, 6)
+    with pytest.raises(error) as raised:
+        best_filter(start, 6)
+    assert (type(raised.value), str(raised.value)) == (type(expected.value), str(expected.value))
 
 
 @pytest.mark.parametrize("kind, error", UNCHECKED_KINDS)
@@ -440,6 +550,18 @@ def test_trajectory_decomposes_each_filtered_state_once(linalg_calls):
     trajectory(TRAJECTORY_STARTS["mems(0.8)"], SCHEDULES["two-sided"])
     # one eigh validates the stack and gives its roots, one SVD their spin-flip values
     assert linalg_calls == {"eigh": 1, "eigvalsh": 0, "svd": 1}
+
+
+@pytest.mark.parametrize("run", [lambda start: apply_filter(start, NO_FILTER),
+                                 lambda start: trajectory(start, [NO_FILTER])], ids=["apply_filter", "trajectory"])
+def test_start_trace_is_checked_like_make_density(run):
+    # dividing by p normalizes the filtered states, so only a check on the start sees its trace of 2
+    start = unchecked_start("trace-2")
+    with pytest.raises(TraceNotOne) as expected:
+        make_density(start.mat)
+    with pytest.raises(TraceNotOne) as raised:
+        run(start)
+    assert str(raised.value) == str(expected.value)
 
 
 def test_trajectory_with_every_filter_skipped():

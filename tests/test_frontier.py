@@ -539,6 +539,14 @@ class TestHillClimb:
         with pytest.raises(OutOfRange):
             hill_climb(mems(0.3), LINEAR, steps=0, rng=np.random.default_rng(0))
 
+    def test_steps_must_be_an_integer_before_any_draw(self):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(TypeError):
+            hill_climb(mems(0.3), LINEAR, steps=3.0, rng=rng)
+        assert rng.bit_generator.state == state
+        hill_climb(mems(0.3), LINEAR, steps=np.int64(3), rng=rng)
+
     @pytest.mark.parametrize("kwargs", [
         {"band": math.nan}, {"band": -1.0}, {"band": 0.0}, {"band": math.inf},
     ], ids=lambda kwargs: ",".join(f"{k}={v}" for k, v in kwargs.items()))
