@@ -20,12 +20,13 @@ import numpy as np
 from .linalg import HERM_TOL, PSD_CLAMP, herm_defect
 from .measures import linear_entropy_batch, tangle_batch, tangle_of_mat
 from .measures import linear_entropy_of_mat  # not called here: bench/spans.py binds filtering.linear_entropy_of_mat
-from .states import TRACE_TOL, DensityMatrix, OutOfRange, TraceNotOne, _held, make_density, validate_stack
+from .states import TRACE_TOL, DensityMatrix, OutOfRange, _check_trace, _held, _trace_off, make_density, validate_stack
 
 SUCCESS_FLOOR = 1e-14
 KAPPA_LO = 1e-3  # the last kappa of kappa_schedule
 TIE_RTOL = 1e-13  # best_filter: grid tangles within this (relative) of the largest are tied
 _ROUNDING = 256 * np.finfo(np.float64).eps  # best_filter's rounding margin per unit of amp ||rho||_F
+_VOUCH_MAX = 1e150  # best_filter's start vouches for no row if an entry reaches this: its squares could overflow
 
 
 class VanishingSuccess(ValueError):
@@ -83,13 +84,6 @@ def _filtered(rho: np.ndarray, d: np.ndarray, p: np.ndarray) -> np.ndarray:
     return (d[..., :, None] * rho) * d[..., None, :] / p[..., None, None]
 
 
-def _check_trace(mat: np.ndarray) -> None:
-    """make_density's trace check and error, on a start whose filtered states dividing by p normalizes."""
-    off = abs(np.einsum("nii->n", np.asarray(mat, dtype=np.complex128)[None])[0] - 1.0)
-    if off > TRACE_TOL:
-        raise TraceNotOne(f"|Tr rho - 1| = {off:.3e} exceeds {TRACE_TOL:.0e}")
-
-
 def apply_filter(rho: DensityMatrix, f: LocalFilter) -> FilterOutcome:
     """Filtered state (A (x) B) rho (A (x) B)^dag / p and its success probability.
 
@@ -97,7 +91,7 @@ def apply_filter(rho: DensityMatrix, f: LocalFilter) -> FilterOutcome:
     (dividing by p would hide it), and VanishingSuccess when p falls at or
     below the numerical floor.
     """
-    _check_trace(rho.mat)
+    _check_trace(_trace_off(rho.mat))
     d = f.diagonal()
     p = _success(rho.mat, d)
     if p <= SUCCESS_FLOOR:
@@ -134,7 +128,7 @@ def trajectory(start: DensityMatrix, schedule: list[LocalFilter]) -> list[Trajec
     """
     if not schedule:
         raise OutOfRange("filter schedule is empty")
-    _check_trace(start.mat)
+    _check_trace(_trace_off(start.mat))
     d = _diagonals(*np.array([(f.a0, f.a1, f.b0, f.b1) for f in schedule]).T)
     p = _success(start.mat, d)
     kept = np.flatnonzero(p > SUCCESS_FLOOR)
@@ -146,12 +140,12 @@ def trajectory(start: DensityMatrix, schedule: list[LocalFilter]) -> list[Trajec
 
 def _vouched(rho: np.ndarray, d: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Which filtered states (D rho D) / p the start proves to pass validate_stack (best_filter's certificate)."""
-    if not np.isfinite(rho).all():
+    rho = np.asarray(rho, dtype=np.complex128)  # the exact values _success and _filtered compute with
+    if not np.abs(rho).max() < _VOUCH_MAX:  # also false for a non-finite entry
         return np.zeros(p.shape, dtype=bool)
     margin = _ROUNDING * np.linalg.norm(rho)
     low = min(float(np.linalg.eigvalsh(rho)[0]), 0.0)
-    reach = max((margin - low) / PSD_CLAMP, (float(herm_defect(rho)) + margin) / HERM_TOL,
-                (np.abs(rho.imag.diagonal()).sum() + margin) / TRACE_TOL)
+    reach = max((margin - low) / PSD_CLAMP, (float(herm_defect(rho)) + margin) / min(HERM_TOL, TRACE_TOL))
     return (d * d).max(axis=-1) / p * reach < 1.0
 
 
@@ -176,20 +170,23 @@ def best_filter(start: DensityMatrix, grid_resolution: int) -> tuple[LocalFilter
     - lambda_min(F) >= amp min(lambda_min(rho), 0) (Ostrowski's theorem;
       both eigvalsh read the lower triangle, which the congruence keeps),
     - ||F - F^dag||_F <= amp ||rho - rho^dag||_F (linalg.herm_defect),
-    - |Tr F - 1| <= amp sum_i |Im rho_ii|.
-    lambda_min(rho) comes from one eigvalsh of the start.  Each right side
-    is widened by amp ||rho||_F _ROUNDING, with _ROUNDING = 256 eps, which
-    covers an eigvalsh backward error of 64 eps ||.||_F on rho and on F
-    (7 eps at most, measured against 40-digit eigenvalues) plus the three
-    roundings of each entry of F, those of p and the checks' own sums, each
-    a few eps times amp ||rho||_F.  A row whose three widened bounds clear
-    -PSD_CLAMP, HERM_TOL and TRACE_TOL cannot fail validate_stack and is
-    not built; a non-finite start vouches for none.  The rest are
-    validated, in grid order and in blocks of at most 4096, so the first
-    failing row, its error type and its message are those of validating
-    every kept row.  A start built without make_density thus raises
-    NotHermitian or NotPSD even where only filters far from the maximum
-    push its defect past tolerance.
+    - |Tr F - 1| <= amp sum_i |Im rho_ii| <= amp ||rho - rho^dag||_F,
+      so one bound serves HERM_TOL and TRACE_TOL, against the smaller.
+    The bounds read the start as complex128, the values F is computed
+    from, and lambda_min(rho) comes from one eigvalsh of it.  Each right
+    side is widened by amp ||rho||_F _ROUNDING, with _ROUNDING = 256 eps,
+    which covers an eigvalsh backward error of 64 eps ||.||_F on rho and
+    on F (7 eps at most, measured against 40-digit eigenvalues) plus the
+    three roundings of each entry of F, those of p and the checks' own
+    sums, each a few eps times amp ||rho||_F.  A row whose widened bounds
+    clear -PSD_CLAMP and min(HERM_TOL, TRACE_TOL) cannot fail validate_stack
+    and is not built.  A start with a non-finite entry, or one of modulus
+    _VOUCH_MAX or more (where the bounds' squares could overflow), vouches
+    for none.  The rest are validated, in grid order and in blocks of at
+    most 4096, so the first failing row, its error type and its message are
+    those of validating every kept row.  A start built without make_density
+    thus raises NotHermitian or NotPSD even where only filters far from the
+    maximum push its defect past tolerance.
     """
     g = operator.index(grid_resolution)
     if g < 2:

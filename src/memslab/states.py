@@ -74,7 +74,7 @@ def _checked(raw, vectors: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray | N
         _checked(mats[:first], vectors)  # an earlier matrix may fail another check
         raise ValueError("matrix has non-finite entries")
     defect = herm_defect(mats)
-    off = np.abs(np.einsum("nii->n", mats) - 1.0)
+    off = _trace_off(mats)
     w, v = np.linalg.eigh(mats) if vectors else (np.linalg.eigvalsh(mats), None)
     low = w[:, 0]
     bad = (defect > HERM_TOL) | (off > TRACE_TOL) | (low < -PSD_CLAMP)
@@ -82,10 +82,20 @@ def _checked(raw, vectors: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray | N
         k = int(np.argmax(bad))
         if defect[k] > HERM_TOL:
             raise NotHermitian(f"Hermiticity defect ||rho - rho^dag||_F = {defect[k]:.3e} exceeds {HERM_TOL:.0e}")
-        if off[k] > TRACE_TOL:
-            raise TraceNotOne(f"|Tr rho - 1| = {off[k]:.3e} exceeds {TRACE_TOL:.0e}")
+        _check_trace(off[k])
         raise NotPSD(f"minimum eigenvalue {low[k]:.3e} is below -{PSD_CLAMP:.0e}")
     return mats, w, v
+
+
+def _trace_off(raw) -> np.ndarray:
+    """|Tr rho - 1| of a 4x4 matrix, or of each matrix of a stack, read as complex128."""
+    return np.abs(np.einsum("...ii->...", np.asarray(raw, dtype=np.complex128)) - 1.0)
+
+
+def _check_trace(off) -> None:
+    """make_density's trace check of one matrix, given its _trace_off: TraceNotOne beyond TRACE_TOL."""
+    if off > TRACE_TOL:
+        raise TraceNotOne(f"|Tr rho - 1| = {off:.3e} exceeds {TRACE_TOL:.0e}")
 
 
 def validate_stack(raw) -> np.ndarray:

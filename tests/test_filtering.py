@@ -384,7 +384,8 @@ def adversarial_starts(draw):
     A Ginibre state of rank 1-4, or a mems or X state under a random local
     unitary; its smallest eigenvalue pushed down by up to 1.1e-10, plus
     anti-Hermitian noise of norm up to 5e-11, scaled to a trace in
-    [1e-3, 1e6], sometimes cut to its real part or given a NaN entry.
+    [1e-3, 1e6] or of 1e160, sometimes cut to its real part, stored in
+    single precision (below 1e160) or given a NaN entry.
     """
     rng = np.random.default_rng(draw(seeds))
     kind = draw(st.sampled_from(["ginibre", "mems", "x"]))
@@ -398,17 +399,20 @@ def adversarial_starts(draw):
     mat = mat - draw(st.floats(0.0, 1.1e-10)) * np.outer(low, low.conj())
     noise = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     noise = noise - noise.conj().T
-    mat = (mat + draw(st.floats(0.0, 5e-11)) * noise / np.linalg.norm(noise)) * draw(
-        st.one_of(st.just(1.0), st.floats(-3.0, 6.0).map(lambda e: 10.0 ** e)))
+    huge = draw(st.integers(0, 9)) == 0  # entries past the range best_filter's certificate takes
+    scale = 1e160 if huge else draw(st.one_of(st.just(1.0), st.floats(-3.0, 6.0).map(lambda e: 10.0 ** e)))
+    mat = (mat + draw(st.floats(0.0, 5e-11)) * noise / np.linalg.norm(noise)) * scale
     if draw(st.integers(0, 4)) == 0:
         mat = mat.real.copy()
+    if not huge and draw(st.integers(0, 4)) == 0:
+        mat = mat.astype(np.complex64 if np.iscomplexobj(mat) else np.float32)
     if draw(st.integers(0, 4)) == 0:
         mat[draw(st.integers(0, 3)), draw(st.integers(0, 3))] = np.nan
     return DensityMatrix(mat=mat)
 
 
 @given(adversarial_starts(), st.sampled_from([2, 4, 6, 9]))
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 def test_best_filter_matches_full_grid_validation(start, g):
     assert search_outcome(best_filter, start, g) == search_outcome(full_grid_best_filter, start, g)
 
@@ -448,10 +452,15 @@ def unchecked_start(kind):
     states near the tangle maximum; only some filters far from it (with
     a1 = 1/6 at g = 6) amplify the defect past HERM_TOL or PSD_CLAMP.  The
     filtered states of the "trace-2" start pass every check; only the start
-    itself fails.
+    itself fails.  The "complex64" and "int" starts are stored in those
+    dtypes, which every check reads as complex128.
     """
     if kind == "trace-2":
         return DensityMatrix(mat=2 * mems(0.5).mat)
+    if kind == "hidden-not-hermitian-complex64":
+        return DensityMatrix(mat=unchecked_start("hidden-not-hermitian").mat.astype(np.complex64))
+    if kind == "int-not-hermitian":
+        return DensityMatrix(mat=np.diag([1, 0, 0, 0]) + np.eye(4, k=1, dtype=int))
     if kind == "not-psd":
         return DensityMatrix(mat=mems(0.5).mat + np.diag([0.05, 0.05, -0.1, 0.0]))
     if kind == "not-hermitian":
@@ -477,7 +486,8 @@ UNCHECKED_KINDS = [("not-psd", NotPSD), ("not-hermitian", NotHermitian),
                    ("hidden-not-psd", NotPSD), ("hidden-not-hermitian", NotHermitian)]
 
 
-@pytest.mark.parametrize("kind, error", UNCHECKED_KINDS + [("trace-2", TraceNotOne)])
+@pytest.mark.parametrize("kind, error", UNCHECKED_KINDS + [("trace-2", TraceNotOne), ("int-not-hermitian", NotHermitian),
+                                                           ("hidden-not-hermitian-complex64", NotHermitian)])
 def test_best_filter_validates_every_filtered_state(kind, error):
     start = unchecked_start(kind)
     with pytest.raises(error) as expected:

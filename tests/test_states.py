@@ -90,6 +90,22 @@ class TestMakeDensity:
         assert type(stacked.value) is type(alone.value)
         assert str(stacked.value) == str(alone.value)
 
+    @pytest.mark.parametrize("first, second", [(a, b) for a in ("trace", "psd", "hermiticity")
+                                               for b in ("trace", "psd", "hermiticity") if a != b])
+    def test_stack_raises_for_its_first_bad_matrix(self, first, second):
+        stack = np.stack([mems(0.5).mat, BAD[first][0], BAD[second][0]])
+        with pytest.raises(BAD[first][1]):
+            validate_stack(stack)
+
+    @pytest.mark.parametrize("case, error", [("hermiticity", NotHermitian), ("psd", TraceNotOne)])
+    def test_a_matrix_failing_two_checks_raises_the_earlier(self, case, error):
+        # the checks run in the order Hermiticity, trace, PSD
+        doubled = 2 * BAD[case][0]
+        with pytest.raises(error):
+            make_density(doubled)
+        with pytest.raises(error):
+            validate_stack(np.stack([mems(0.5).mat, doubled, BAD["trace"][0]]))
+
     def test_stack_shapes(self):
         assert validate_stack(np.empty((0, 4, 4))).shape == (0, 4, 4)
         stack = np.stack([werner(0.3).mat, mems(0.7).mat])
