@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import HERM_TOL, PSD_CLAMP, herm_defect
+from .linalg import HERM_TOL, PSD_CLAMP, _reject_non_finite, herm_defect
 from .measures import linear_entropy_batch, tangle_batch, tangle_of_mat
 from .measures import linear_entropy_of_mat  # not called here: bench/spans.py binds filtering.linear_entropy_of_mat
 from .states import TRACE_TOL, DensityMatrix, OutOfRange, _check_trace, _held, _trace_off, make_density, validate_stack
@@ -87,11 +87,12 @@ def _filtered(rho: np.ndarray, d: np.ndarray, p: np.ndarray) -> np.ndarray:
 def apply_filter(rho: DensityMatrix, f: LocalFilter) -> FilterOutcome:
     """Filtered state (A (x) B) rho (A (x) B)^dag / p and its success probability.
 
-    Raises TraceNotOne, as make_density does, when the start's trace is off
-    (dividing by p would hide it), and VanishingSuccess when p falls at or
-    below the numerical floor.
+    Raises make_density's ValueError for a start with a non-finite entry,
+    before any arithmetic reads it; TraceNotOne, as make_density does, when
+    the start's trace is off (dividing by p would hide it); and
+    VanishingSuccess when p falls at or below the numerical floor.
     """
-    _check_trace(_trace_off(rho.mat))
+    _check_trace(_trace_off(_reject_non_finite(rho.mat)))
     d = f.diagonal()
     p = _success(rho.mat, d)
     if p <= SUCCESS_FLOOR:
@@ -124,11 +125,12 @@ def trajectory(start: DensityMatrix, schedule: list[LocalFilter]) -> list[Trajec
     points carry their filter; len(schedule) - len(points) counts them).  The
     filtered states, built with apply_filter's arithmetic, are validated and
     measured as one stack, so every point is bit for bit its result.  A
-    start whose trace is off raises TraceNotOne first, as apply_filter does.
+    start with a non-finite entry, or whose trace is off, raises first, as
+    in apply_filter.
     """
     if not schedule:
         raise OutOfRange("filter schedule is empty")
-    _check_trace(_trace_off(start.mat))
+    _check_trace(_trace_off(_reject_non_finite(start.mat)))
     d = _diagonals(*np.array([(f.a0, f.a1, f.b0, f.b1) for f in schedule]).T)
     p = _success(start.mat, d)
     kept = np.flatnonzero(p > SUCCESS_FLOOR)
@@ -141,7 +143,7 @@ def trajectory(start: DensityMatrix, schedule: list[LocalFilter]) -> list[Trajec
 def _vouched(rho: np.ndarray, d: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Which filtered states (D rho D) / p the start proves to pass validate_stack (best_filter's certificate)."""
     rho = np.asarray(rho, dtype=np.complex128)  # the exact values _success and _filtered compute with
-    if not np.abs(rho).max() < _VOUCH_MAX:  # also false for a non-finite entry
+    if not np.abs(rho).max() < _VOUCH_MAX:
         return np.zeros(p.shape, dtype=bool)
     margin = _ROUNDING * np.linalg.norm(rho)
     low = min(float(np.linalg.eigvalsh(rho)[0]), 0.0)
@@ -180,17 +182,19 @@ def best_filter(start: DensityMatrix, grid_resolution: int) -> tuple[LocalFilter
     three roundings of each entry of F, those of p and the checks' own
     sums, each a few eps times amp ||rho||_F.  A row whose widened bounds
     clear -PSD_CLAMP and min(HERM_TOL, TRACE_TOL) cannot fail validate_stack
-    and is not built.  A start with a non-finite entry, or one of modulus
-    _VOUCH_MAX or more (where the bounds' squares could overflow), vouches
-    for none.  The rest are validated, in grid order and in blocks of at
-    most 4096, so the first failing row, its error type and its message are
-    those of validating every kept row.  A start built without make_density
+    and is not built.  A start with an entry of modulus _VOUCH_MAX or more
+    (where the bounds' squares could overflow) vouches for none.  The rest
+    are validated, in grid order and in blocks of at most 4096, so the
+    first failing row, its error type and its message are those of
+    validating every kept row.  A start built without make_density
     thus raises NotHermitian or NotPSD even where only filters far from the
-    maximum push its defect past tolerance.
+    maximum push its defect past tolerance.  A start with a non-finite entry
+    raises make_density's ValueError before any arithmetic reads it.
     """
     g = operator.index(grid_resolution)
     if g < 2:
         raise OutOfRange(f"grid resolution {grid_resolution} must be >= 2")
+    _reject_non_finite(start.mat)
     values = np.arange(1, g + 1) / g
     a0, a1, b0, b1 = values[:, None, None, None], values[:, None, None], values[:, None], values
     d = _diagonals(a0, a1, b0, b1).reshape(-1, 4)

@@ -29,10 +29,10 @@ import numpy as np
 from .linalg import psd_root
 from .linalg import psd_sqrt  # not called here: bench/spans.py binds frontier.psd_sqrt
 from .measures import linear_entropy_batch, linear_entropy_of_mat, tangle_bound, tangle_of_mat, tangle_root
-from .measures import von_neumann_batch
+from .measures import spectral_entropy, von_neumann_batch
 from .measures import von_neumann_entropy  # not called here: bench/spans.py binds frontier.von_neumann_entropy
 from .sampling import BLOCK, EnsembleSpec, _wishart, sample_states
-from .states import DensityMatrix, OutOfRange, _held, mems_population, validate_eigh, werner
+from .states import DensityMatrix, OutOfRange, _checked, _held, mems_population, validate_eigh, werner
 from .states import make_density  # not called here: bench/spans.py binds frontier.make_density
 
 LN4 = math.log(4.0)
@@ -42,6 +42,7 @@ EPS_HI, EPS_LO = 0.1, 1e-4  # hill_climb's proposal weight scale, first and last
 S_BRANCH = 16.0 / 27.0  # linear entropy at the gamma = 2/3 branch point
 S_EDGE = 8.0 / 9.0      # largest linear entropy the boundary family reaches
 MARGIN = 1e-12  # certify_states' screen keeps a state whose violation bound is within MARGIN of the threshold
+VN_MARGIN = 1e-10  # hill_climb reads a candidate's VN band test from eigvalsh when its eigh reading is this near the edge
 
 
 class UnsupportedMetric(ValueError):
@@ -214,17 +215,23 @@ def scan(spec: EnsembleSpec, metric: MixednessMetric, bins: int) -> FrontierEnve
 def certify_states(stacks: Iterable[np.ndarray], tolerance: float) -> CertificationReport:
     """Envelope-violation search over (n, 4, 4) stacks of states (linear metric).
 
-    Each stack is validated with states.validate_eigh, as scan_points does, and
-    its envelope taken at the clipped linear entropy.  measures.tangle_bound
-    then bounds each state's violation u = bound - envelope from the same eigh,
-    and only states with u >= threshold - MARGIN reach the tangle kernel
-    (psd_root of their slice of that eigh, then tangle_root).  The threshold is
-    the running worst violation; on the first stack, which has none, it is the
-    exact violation of the state with the largest u.  A state left out has a
-    violation below the threshold (no tested state read more than 5.2e-15
-    above its bound, against MARGIN = 1e-12), so it can neither set nor tie the
-    maximum, and the kernel gives a state the same bits in a subset of its
-    stack as in the whole: the report is the one measuring every state gives.
+    Each stack is validated with validate_stack's checks and errors and its
+    envelope taken at the clipped linear entropy.  measures.tangle_bound then
+    bounds each state's violation u = bound - envelope from the validation's
+    eigenvalues, and only states with u >= threshold - MARGIN reach the
+    tangle kernel (psd_root of their eigh, then tangle_root).  The threshold
+    is the running worst violation.  The first stack, which has none, takes
+    the exact violation of its state j with the largest u; its screen keeps
+    most rows on loose-bound kinds, so it is validated with one eigh
+    (states.validate_eigh) whose rows the kept states reuse, and when it
+    keeps only j, j's violation is not measured again.  Every later stack
+    keeps few rows: it is validated with one eigvalsh (states._checked, as
+    validate_stack) and only its kept rows are decomposed by eigh.  A state
+    left out has a violation below the threshold (no tested state read more
+    than 5.9e-15 above its bound, from either decomposition's eigenvalues,
+    against MARGIN = 1e-12), so it can neither set nor tie the maximum, and
+    the kernel gives a state the same bits in a subset of its stack as in
+    the whole: the report is the one measuring every state gives.
     ``screened`` counts the states the bound decided.  The witness, the only
     state built as a DensityMatrix, is the first to reach the largest
     violation: its validated row, wrapped by states._held as hill_climb's is.
@@ -235,21 +242,28 @@ def certify_states(stacks: Iterable[np.ndarray], tolerance: float) -> Certificat
     witness = None
     total = screened = 0
     for raw in stacks:
-        mats, w, v = validate_eigh(raw)
+        first = worst == -math.inf
+        mats, w, v = _checked(raw, vectors=first)
         if not len(mats):
             continue
         total += len(mats)
         envelope = _envelope(np.clip(linear_entropy_batch(mats), 0.0, 1.0))
         bounds = tangle_bound(mats, w) - envelope
         threshold = worst
-        if worst == -math.inf:
+        if first:
             j = int(np.argmax(bounds))
-            threshold = float(tangle_root(psd_root(w[j:j + 1], v[j:j + 1]))[0] - envelope[j])
+            exact = tangle_root(psd_root(w[j:j + 1], v[j:j + 1])) - envelope[j:j + 1]
+            threshold = float(exact[0])
         keep = np.flatnonzero(bounds >= threshold - MARGIN)
         screened += len(mats) - len(keep)
         if not len(keep):
             continue
-        violations = tangle_root(psd_root(w[keep], v[keep])) - envelope[keep]
+        if not first:
+            violations = tangle_root(psd_root(*np.linalg.eigh(mats[keep]))) - envelope[keep]
+        elif keep.tolist() == [j]:  # the screen kept only the threshold's own state, already measured
+            violations = exact
+        else:
+            violations = tangle_root(psd_root(w[keep], v[keep])) - envelope[keep]
         k = int(np.argmax(violations))  # the first index of the stack's maximum
         if violations[k] > worst:  # strict, so a tie in a later stack keeps the earlier witness
             worst, witness = float(violations[k]), mats[keep[k]]
@@ -282,6 +296,21 @@ def _step_draws(rng: np.random.Generator, n: int, eps: float,
     return weights, _wishart(normals), support_weighted, eps
 
 
+def _in_band(metric: MixednessMetric, mat: np.ndarray, w: np.ndarray, anchor: float, band: float) -> bool:
+    """Whether a one-state stack's mixedness lies within ``band`` of ``anchor``, as _mixedness reads it.
+
+    Under the VN metric the entropy is read from ``w``, the state's eigenvalues from its window's eigh,
+    unless that reading lies within VN_MARGIN of the band's edge: there _mixedness (eigvalsh) decides.
+    Both eigenvalue sets are backward stable (|dlambda| <~ 1e-13, where -p ln p moves by about 3e-12),
+    so the two readings differ by far less than VN_MARGIN and decide every other candidate alike.
+    """
+    if metric is MixednessMetric.VON_NEUMANN_NORMALIZED:
+        off = abs(spectral_entropy(w)[0] / LN4 - anchor)
+        if abs(off - band) > VN_MARGIN:
+            return off <= band
+    return abs(_mixedness(metric, mat)[0] - anchor) <= band
+
+
 def hill_climb(
     start: DensityMatrix,
     metric: MixednessMetric,
@@ -309,6 +338,9 @@ def hill_climb(
     restarts after it, so the witness is the one that evaluating one proposal
     per step gives.  sqrt(rho) is the root its tangle was measured from
     (linalg.psd_root of the eigh that validated the start or the window).
+    An improving proposal's von Neumann band test reads its eigenvalues from
+    that same eigh, and runs the exact eigvalsh reading only within
+    VN_MARGIN of the band's edge (_in_band), so it decides as that reading.
     """
     if operator.index(steps) < 1:
         raise OutOfRange(f"need at least 1 step, got {steps}")
@@ -336,7 +368,7 @@ def hill_climb(
             roots = psd_root(vals, vecs)
             evaluated = hi
             for j, (k, cand_tangle) in enumerate(zip(live.tolist(), tangle_root(roots).tolist())):
-                if cand_tangle > current_tangle and abs(_mixedness(metric, mats[j:j + 1])[0] - anchor) <= band:
+                if cand_tangle > current_tangle and _in_band(metric, mats[j:j + 1], vals[j:j + 1], anchor, band):
                     current, current_tangle, root = mats[j], cand_tangle, roots[j]
                     evaluated = lo + k + 1
                     break

@@ -18,7 +18,7 @@ import numpy as np
 
 from .linalg import psd_root
 from .linalg import psd_sqrt  # not called here: bench/spans.py binds measures.psd_sqrt
-from .states import DensityMatrix, validate_eigh
+from .states import DensityMatrix, _checked, validate_eigh, validate_stack
 
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 # sigma_y (x) sigma_y: the anti-diagonal (-1, +1, +1, -1), real.
@@ -91,7 +91,8 @@ def eof(rho: DensityMatrix) -> float:
 
 
 def purity(rho: DensityMatrix) -> float:
-    return float(purity_batch(rho.mat[None])[0])
+    """Tr[rho^2] of rho, validated like make_density (as every functional of one state is)."""
+    return float(purity_batch(validate_stack(rho.mat[None]))[0])
 
 
 def purity_batch(mats: np.ndarray) -> np.ndarray:
@@ -108,18 +109,23 @@ def linear_entropy_batch(mats: np.ndarray) -> np.ndarray:
 
 
 def linear_entropy(rho: DensityMatrix) -> float:
-    return linear_entropy_of_mat(rho.mat)
+    return float(linear_entropy_batch(validate_stack(rho.mat[None]))[0])
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
-    """-Tr[rho ln rho] in nats, with 0 ln 0 = 0."""
-    return float(von_neumann_batch(rho.mat[None])[0])
+    """-Tr[rho ln rho] in nats, with 0 ln 0 = 0, from the eigvalsh that validates rho (validate_stack's)."""
+    return float(spectral_entropy(_checked(rho.mat[None], vectors=False)[1])[0])
 
 
 def von_neumann_batch(mats: np.ndarray) -> np.ndarray:
     """von_neumann_entropy of each matrix of an (n, 4, 4) stack, from one stacked eigvalsh."""
+    return spectral_entropy(np.linalg.eigvalsh(mats))  # stacked and single eigvalsh agree bit for bit
+
+
+def spectral_entropy(w: np.ndarray) -> np.ndarray:
+    """-sum p ln p over each row of an (n, 4) array of ascending eigenvalues (eigh's or eigvalsh's), 0 ln 0 = 0."""
     entropies = []
-    for evs in np.linalg.eigvalsh(mats).tolist():  # ascending; stacked and single eigvalsh agree bit for bit
+    for evs in w.tolist():
         total = 0.0  # then -=, so a pure state gives 0.0, not -0.0
         for p in evs:
             if p > 0.0:  # eigenvalues in [-PSD_CLAMP, 0] are boundary-rank rounding noise
@@ -139,6 +145,7 @@ def negativity(rho: DensityMatrix) -> float:
     Independent of the spin-flip machinery; for two qubits positive
     negativity is equivalent to positive concurrence.
     """
+    validate_stack(rho.mat[None])  # make_density's checks, as every functional of one state applies
     evs = np.linalg.eigvalsh(partial_transpose(rho))
     return abs(float(evs[evs < 0.0].sum()))  # abs also normalizes -0.0
 
@@ -181,10 +188,14 @@ def tangle_root(root: np.ndarray) -> np.ndarray:
 
 
 def tangle_bound(mats: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """An upper bound on tangle_root's tangle of each state of a validated stack, from its eigh eigenvalues ``w``.
+    """An upper bound on tangle_root's tangle of each state of a validated stack, from its eigenvalues ``w``.
 
+    ``w`` holds the ascending eigenvalues of the validation's decomposition: validate_eigh's eigh or
+    validate_stack's eigvalsh (certify_states reads the first for its first stack and the second for every
+    later one).  Both read the lower triangle and are backward stable: with either, no tested state's tangle
+    read more than 5.9e-15 above its bound (tests/test_frontier.py, under four OpenBLAS kernels).
     The smaller of two bounds, each exact on some states and both of degree 2 in rho, like the tangle, so a
-    trace off 1 by up to TRACE_TOL is bounded too.  Both read the state that the kernel measures: eigh's
+    trace off 1 by up to TRACE_TOL is bounded too.  Both read the state that the kernel measures: the
     lower triangle, with each eigenvalue below 0 clamped to 0 (linalg.psd_root).
     - Spectral: B(lambda)^2 with B = lambda1 - lambda3 - 2 sqrt(lambda2 lambda4), lambda descending, the largest
       concurrence of any state with that spectrum (Ishizaka & Hiroshima, PRA 62, 022310; Verstraete,

@@ -8,11 +8,13 @@ a vector normalization is unambiguous.
 
 Stacks have two validators with one check routine: validate_stack reads the
 PSD check from a stacked eigvalsh, and validate_eigh from a stacked eigh that
-it returns.  Every measuring path (frontier.scan_points,
-frontier.certify_states, and tangle_batch under every other tangle)
-validates with validate_eigh and measures that eigh's root with
-measures.tangle_root, so it decomposes each state once; certify_states
-measures only the states its tangle bound cannot decide.
+it returns.  The measuring paths (frontier.scan_points, hill_climb, and
+tangle_batch under every other tangle) validate with validate_eigh and
+measure that eigh's root with measures.tangle_root, so they decompose each
+state once.  frontier.certify_states measures only the states its tangle
+bound cannot decide: its first stack is validated with validate_eigh, every
+later one with validate_stack's eigvalsh (the bound reads its eigenvalues),
+and only the rows the bound keeps are decomposed by eigh.
 """
 
 from __future__ import annotations

@@ -351,8 +351,12 @@ def full_grid_best_filter(start, g):
     """Reference search: best_filter's reduce after validating every kept grid state, then measuring the start.
 
     One validate_stack of every kept row raises what validating them in
-    blocks does: the error of the first row that fails, in grid order.
+    blocks does: the error of the first row that fails, in grid order.  A
+    start with a non-finite entry raises make_density's error before any
+    arithmetic.
     """
+    if not np.isfinite(start.mat).all():
+        make_density(start.mat)
     values = np.arange(1, g + 1) / g
     a0, a1, b0, b1 = values[:, None, None, None], values[:, None, None], values[:, None], values
     d = _diagonals(a0, a1, b0, b1).reshape(-1, 4)
@@ -385,7 +389,7 @@ def adversarial_starts(draw):
     unitary; its smallest eigenvalue pushed down by up to 1.1e-10, plus
     anti-Hermitian noise of norm up to 5e-11, scaled to a trace in
     [1e-3, 1e6] or of 1e160, sometimes cut to its real part, stored in
-    single precision (below 1e160) or given a NaN entry.
+    single precision (below 1e160) or given a NaN or infinite entry.
     """
     rng = np.random.default_rng(draw(seeds))
     kind = draw(st.sampled_from(["ginibre", "mems", "x"]))
@@ -407,7 +411,7 @@ def adversarial_starts(draw):
     if not huge and draw(st.integers(0, 4)) == 0:
         mat = mat.astype(np.complex64 if np.iscomplexobj(mat) else np.float32)
     if draw(st.integers(0, 4)) == 0:
-        mat[draw(st.integers(0, 3)), draw(st.integers(0, 3))] = np.nan
+        mat[draw(st.integers(0, 3)), draw(st.integers(0, 3))] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
     return DensityMatrix(mat=mat)
 
 
@@ -572,6 +576,29 @@ def test_start_trace_is_checked_like_make_density(run):
     with pytest.raises(TraceNotOne) as raised:
         run(start)
     assert str(raised.value) == str(expected.value)
+
+
+def _non_finite(kind):
+    mat = mems(0.5).mat.copy()
+    if kind == "nan-diagonal":
+        mat[1, 1] = np.nan
+    else:
+        mat[0, 3] = np.inf if kind == "inf-coherence" else complex(0.25, -np.inf)
+    return DensityMatrix(mat=mat)
+
+
+@pytest.mark.parametrize("kind", ["nan-diagonal", "inf-coherence", "inf-imaginary"])
+@pytest.mark.parametrize("run", [lambda start: apply_filter(start, NO_FILTER),
+                                 lambda start: trajectory(start, SCHEDULES["two-sided"]),
+                                 lambda start: best_filter(start, 4)], ids=["apply_filter", "trajectory", "best_filter"])
+def test_non_finite_start_is_rejected_like_make_density(run, kind):
+    # before any arithmetic: a NaN p would skip every filter, an infinite entry would warn (an error here)
+    start = _non_finite(kind)
+    with pytest.raises(ValueError) as expected:
+        make_density(start.mat)
+    with pytest.raises(ValueError) as raised:
+        run(start)
+    assert (type(raised.value), str(raised.value)) == (ValueError, str(expected.value))
 
 
 def test_trajectory_with_every_filter_skipped():

@@ -32,7 +32,8 @@ from memslab.frontier import (
 from memslab.filtering import best_filter
 from memslab.linalg import psd_root, psd_sqrt
 from memslab.measures import (linear_entropy, linear_entropy_of_mat, tangle, tangle_batch, tangle_bound,
-                              tangle_of_mat, tangle_root, von_neumann_batch, von_neumann_entropy)
+                              spectral_entropy, tangle_of_mat, tangle_root, von_neumann_batch,
+                              von_neumann_entropy)
 from memslab.sampling import (BLOCK, EnsembleSpec, GinibreRank, PerturbAbout, PureMixture,
                               _wishart, sample_states, splitmix64)
 from memslab.states import (DensityMatrix, OutOfRange, TraceNotOne, make_density, mems, validate_eigh,
@@ -376,26 +377,34 @@ BOUND_KINDS = {
     **{f"PerturbAbout(mems({g}))": PerturbAbout(mems(g), 0.05) for g in (0.1, 0.5, 0.9)},
 }
 # tangle_root - tangle_bound on these sets at 20k states, seeds 1 and 7, under the OpenBLAS SkylakeX, Haswell, Zen
-# and Prescott kernels: at most 5.2e-15 (pure states; 4.9e-15 on GinibreRank(1)), below 0 on rotated mems and
-# X states and on clamped pure states, and pure states at least -6.4e-15 (the bound is C^2 there).
+# and Prescott kernels: at most 5.2e-15 with the bound read from eigh's eigenvalues and 5.9e-15 from eigvalsh's
+# (pure states; 4.9e-15 on GinibreRank(1)), below 0 on rotated mems and X states and on clamped pure states, and
+# pure states at least -6.5e-15 (the bound is C^2 there).
 BOUND_SLACK = 1e-14
 
 
-def bound_excess(mats):
-    """tangle_root - tangle_bound of each state of a stack."""
+def bound_excess(mats, reading):
+    """tangle_root - tangle_bound of each state of a stack, the bound read from ``reading``'s eigenvalues."""
     mats, w, v = validate_eigh(mats)
-    return tangle_root(psd_root(w, v)) - tangle_bound(mats, w)
+    return tangle_root(psd_root(w, v)) - tangle_bound(mats, w if reading == "eigh" else np.linalg.eigvalsh(mats))
 
 
-@pytest.mark.parametrize("name", sorted(BOUND_KINDS))
-def test_tangle_bound_holds_on_sampled_states(name):
+def each_reading(names):
+    """(name, reading) for both eigenvalue readings certify_states screens with: its first stack's eigh (the
+    test id is the name) and its later stacks' eigvalsh (the id ends in -eigvalsh)."""
+    return [pytest.param(name, reading, id=name if reading == "eigh" else f"{name}-{reading}")
+            for name in names for reading in ("eigh", "eigvalsh")]
+
+
+@pytest.mark.parametrize("name, reading", each_reading(sorted(BOUND_KINDS)))
+def test_tangle_bound_holds_on_sampled_states(name, reading):
     mats = np.concatenate(list(sample_states(EnsembleSpec(BOUND_KINDS[name], 20_000, seed=7))))
-    assert bound_excess(mats).max() <= BOUND_SLACK
+    assert bound_excess(mats, reading).max() <= BOUND_SLACK
 
 
-@pytest.mark.parametrize("name", BOUNDARY_SETS)
-def test_tangle_bound_holds_on_boundary_states(name):
-    excess = bound_excess(boundary_states(name, 4000, seed=1))
+@pytest.mark.parametrize("name, reading", each_reading(BOUNDARY_SETS))
+def test_tangle_bound_holds_on_boundary_states(name, reading):
+    excess = bound_excess(boundary_states(name, 4000, seed=1), reading)
     assert excess.max() <= BOUND_SLACK
     if name == "pure":  # the reduced-purity bound is C^2 itself on a pure state
         assert excess.min() >= -BOUND_SLACK
@@ -438,11 +447,12 @@ def test_screened_certify_reports_like_every_state_measured(name):
 
 
 def test_screened_certify_mix_reports_like_every_state_measured(monkeypatch):
-    screened = total = 0
-    for spec in _bench_certify_mix_specs(2, monkeypatch):
-        report = assert_certifies_like_every_state_measured(list(sample_states(spec)))
-        screened, total = screened + report.screened, total + report.samples_total
-    assert 0 < screened < total
+    for seed in (1, 2, 3):
+        screened = total = 0
+        for spec in _bench_certify_mix_specs(seed, monkeypatch):
+            report = assert_certifies_like_every_state_measured(list(sample_states(spec)))
+            screened, total = screened + report.screened, total + report.samples_total
+        assert 0 < screened < total
 
 
 def _rotated(eigenvalues):
@@ -480,6 +490,18 @@ def test_scan_and_certify_reject_like_validate_stack(kind, k):
         assert str(err.value) == str(alone.value)
 
 
+@pytest.mark.parametrize("kind", ["non-finite", "hermiticity", "trace", "psd"])
+def test_certify_rejects_a_later_stack_like_validate_stack(kind):
+    # the first stack is validated through eigh, every later one through eigvalsh
+    stack = np.stack([mems(0.2 * i).mat for i in range(5)])
+    stack[3] = _defective(kind)
+    with pytest.raises(ValueError) as alone:
+        validate_stack(stack)
+    with pytest.raises(ValueError) as err:
+        certify_states([boundary_states("pure", 8, seed=1), stack[:2], stack], 1e-9)
+    assert (type(err.value), str(err.value)) == (type(alone.value), str(alone.value))
+
+
 def test_eigenvalue_within_the_clamp_passes_every_check():
     stack = np.stack([mems(0.2 * i).mat for i in range(5)])
     stack[2] = _rotated([0.5, 0.3, 0.2 + 5e-11, -5e-11])
@@ -488,12 +510,42 @@ def test_eigenvalue_within_the_clamp_passes_every_check():
     assert len(next(scan_points([stack], LINEAR))[0]) == 5
 
 
-def test_certify_decomposes_each_stack_once(linalg_calls):
-    certify(EnsembleSpec(GinibreRank(4), 300, seed=5), 1e-9)  # stacks of 128, 128 and 44
-    # one eigh per stack; at most one SVD per stack, of the states the bound kept, and one for the first
-    # stack's threshold; the witness is not validated again (no eigvalsh)
-    assert (linalg_calls["eigh"], linalg_calls["eigvalsh"]) == (3, 0)
-    assert linalg_calls["svd"] <= 3 + 1
+def _later_kept(stacks, i):
+    """The rows of stacks[i] whose violation bound, read from validate_stack's eigvalsh, reaches the worst
+    violation of the stacks before it less MARGIN: the rows certify_states measures."""
+    mats = validate_stack(stacks[i])
+    worst = reference_certification(stacks[:i])[0]
+    envelope = np.array([envelope_tangle(LINEAR, _clipped(linear_entropy_of_mat(mat))) for mat in mats])
+    return mats[tangle_bound(mats, np.linalg.eigvalsh(mats)) - envelope >= worst - frontier.MARGIN]
+
+
+def test_certify_decomposes_each_stack_once(linalg_calls, monkeypatch):
+    decomposed = []
+    counted_eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda mats: decomposed.append(mats.copy()) or counted_eigh(mats))
+    for stacks in (list(sample_states(EnsembleSpec(GinibreRank(4), 300, seed=5))),  # stacks of 128, 128 and 44
+                   _later_stack_stream()):
+        decomposed.clear()
+        linalg_calls.update(dict.fromkeys(linalg_calls, 0))  # count from here: building a stream decomposes too
+        report = certify_states(stacks, 1e-9)
+        calls, rows = dict(linalg_calls), list(decomposed)  # before the references decompose too
+        # one eigh of the first stack; one eigvalsh per later stack, and an eigh of exactly the rows its screen
+        # kept (none for a stack that keeps none); the witness is not validated again
+        expected = [validate_stack(stacks[0])] + [_later_kept(stacks, i) for i in range(1, len(stacks))]
+        assert [mats.tobytes() for mats in rows] == [mats.tobytes() for mats in expected if len(mats)]
+        assert (calls["eigh"], calls["eigvalsh"]) == (len(rows), len(stacks) - 1)
+        assert 0 < report.screened and len(rows) < len(stacks)  # some later stack kept none
+
+
+def test_certify_reuses_the_threshold_of_a_first_stack_that_keeps_only_it(linalg_calls):
+    # pure states read violation tau - 1, far below the envelope; the rank-2 mems state sits on it
+    stack = np.concatenate([boundary_states("pure", 40, seed=6), boundary_states("mems-rank2", 1, seed=7)])
+    linalg_calls.update(dict.fromkeys(linalg_calls, 0))  # count from here: building mems validates it
+    report = certify_states([stack], 1e-9)
+    # one eigh validates the stack; the threshold state's SVD gives its violation, which is not measured again
+    assert linalg_calls == {"eigh": 1, "eigvalsh": 0, "svd": 1}
+    assert report.screened == 40
+    assert_certifies_like_every_state_measured([stack])
 
 
 def test_vn_scan_cli_decomposes_each_stack_once(linalg_calls, tmp_path):
@@ -644,8 +696,37 @@ def test_hill_climb_takes_roots_from_each_windows_eigh(metric, linalg_calls, mon
     assert (linalg_calls["eigh"], linalg_calls["svd"]) == (len(stacks), len(stacks))
     # one stacked root per validated stack: the roots the tangles used are the support roots
     assert rooted == stacks
-    if metric is LINEAR:
-        assert linalg_calls["eigvalsh"] == 0  # the witness is not validated again
+    # the witness is not validated again; under VN only the start's mixedness is read from an eigvalsh, every
+    # proposal's from its window's eigh, as none lies within VN_MARGIN of the band's edge
+    assert linalg_calls["eigvalsh"] == (0 if metric is LINEAR else 1)
+
+
+@pytest.mark.parametrize("start", ["ginibre-rank1", "ginibre-rank2", "mems(0.6)"])  # ranks 1, 2 and 3
+def test_vn_readings_of_a_window_agree_far_inside_the_margin(start, monkeypatch):
+    windows = []
+    monkeypatch.setattr(frontier, "validate_eigh", lambda raw: windows.append(validate_eigh(raw)) or windows[-1])
+    hill_climb(CLIMB_STARTS[start], VN, 300, np.random.default_rng(1))
+    gaps = [np.abs(spectral_entropy(w) - von_neumann_batch(mats)) / LN4 for mats, w, _ in windows[1:]]
+    assert len(gaps) > 300 / WINDOW and max(gap.max() for gap in gaps) <= frontier.VN_MARGIN / 100
+
+
+@pytest.mark.parametrize("start, seed", [("ginibre-rank1", 37), ("ginibre-rank2", 5), ("mems(0.6)", 5)])
+def test_vn_band_near_a_proposal_takes_the_exact_reading(start, seed, monkeypatch):
+    state = CLIMB_STARTS[start]
+    moved = hill_climb(state, VN, 1, np.random.default_rng(seed), band=1.0)  # the one proposal raises the tangle
+    edge = abs(von_neumann_batch(moved.mat[None])[0] / LN4 - von_neumann_batch(state.mat[None])[0] / LN4)
+    assert edge > 2 * frontier.VN_MARGIN
+    exact = []
+    monkeypatch.setattr(frontier, "von_neumann_batch", lambda mats: exact.append(len(mats)) or von_neumann_batch(mats))
+    margin = frontier.VN_MARGIN
+    for band in (edge, np.nextafter(edge, 0.0), edge + margin / 2, edge - margin / 2, edge + 2 * margin,
+                 edge - 2 * margin):
+        exact.clear()
+        witness = hill_climb(state, VN, 1, np.random.default_rng(seed), band=band)
+        assert np.array_equal(witness.mat, sequential_hill_climb(state, VN, 1, np.random.default_rng(seed), band))
+        assert np.array_equal(witness.mat, moved.mat) == (band >= edge)
+        # the start's reading, then the proposal's exact reading only within VN_MARGIN of the band's edge
+        assert len(exact) == (2 if abs(band - edge) <= margin else 1)
 
 
 @pytest.mark.parametrize("build", [

@@ -362,6 +362,25 @@ def test_tangle_batch_rejects_a_non_state_in_the_stack(bad, error):
         concurrence(DensityMatrix(mat=bad))  # built without make_density
 
 
+NON_STATES = {
+    "trace-2": 2 * np.eye(4, dtype=complex),  # a trace of 2
+    "not-psd": np.diag([0.5, 0.5, 0.1, -0.1]).astype(complex),
+    "not-hermitian": np.diag([0.25] * 4).astype(complex) + np.diag([0.1j], 3),
+    "non-finite": np.diag([0.25, 0.25, np.nan, 0.25]).astype(complex),
+}
+
+
+@pytest.mark.parametrize("functional", [purity, linear_entropy, von_neumann_entropy, negativity, measure_report],
+                         ids=lambda f: f.__name__)
+@pytest.mark.parametrize("name", sorted(NON_STATES))
+def test_one_state_functionals_reject_a_non_state_like_make_density(functional, name):
+    with pytest.raises(ValueError) as expected:
+        make_density(NON_STATES[name])
+    with pytest.raises(ValueError) as raised:
+        functional(DensityMatrix(mat=NON_STATES[name]))  # built without make_density
+    assert (type(raised.value), str(raised.value)) == (type(expected.value), str(expected.value))
+
+
 MEMS_08 = mems(0.8)  # built before linalg_calls starts counting
 
 
@@ -369,6 +388,11 @@ def test_tangle_decomposes_the_state_once(linalg_calls):
     assert tangle(MEMS_08) == pytest.approx(0.64, abs=1e-12)
     # one eigh validates the state and gives its root, one SVD its spin-flip values
     assert linalg_calls == {"eigh": 1, "eigvalsh": 0, "svd": 1}
+
+
+def test_von_neumann_entropy_reads_the_validating_eigvalsh(linalg_calls):
+    von_neumann_entropy(MEMS_08)
+    assert linalg_calls == {"eigh": 0, "eigvalsh": 1, "svd": 0}
 
 
 def reference_von_neumann(mat):
