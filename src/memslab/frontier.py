@@ -29,7 +29,7 @@ import numpy as np
 from .linalg import psd_root
 from .linalg import psd_sqrt  # not called here: bench/spans.py binds frontier.psd_sqrt
 from .measures import linear_entropy_batch, linear_entropy_of_mat, tangle_bound, tangle_of_mat, tangle_root
-from .measures import spectral_entropy, von_neumann_batch
+from .measures import von_neumann_batch
 from .measures import von_neumann_entropy  # not called here: bench/spans.py binds frontier.von_neumann_entropy
 from .sampling import BLOCK, EnsembleSpec, _wishart, sample_states
 from .states import DensityMatrix, OutOfRange, _checked, _held, mems_population, validate_eigh, werner
@@ -42,7 +42,6 @@ EPS_HI, EPS_LO = 0.1, 1e-4  # hill_climb's proposal weight scale, first and last
 S_BRANCH = 16.0 / 27.0  # linear entropy at the gamma = 2/3 branch point
 S_EDGE = 8.0 / 9.0      # largest linear entropy the boundary family reaches
 MARGIN = 1e-12  # certify_states' screen keeps a state whose violation bound is within MARGIN of the threshold
-VN_MARGIN = 1e-10  # hill_climb reads a candidate's VN band test from eigvalsh when its eigh reading is this near the edge
 
 
 class UnsupportedMetric(ValueError):
@@ -296,21 +295,6 @@ def _step_draws(rng: np.random.Generator, n: int, eps: float,
     return weights, _wishart(normals), support_weighted, eps
 
 
-def _in_band(metric: MixednessMetric, mat: np.ndarray, w: np.ndarray, anchor: float, band: float) -> bool:
-    """Whether a one-state stack's mixedness lies within ``band`` of ``anchor``, as _mixedness reads it.
-
-    Under the VN metric the entropy is read from ``w``, the state's eigenvalues from its window's eigh,
-    unless that reading lies within VN_MARGIN of the band's edge: there _mixedness (eigvalsh) decides.
-    Both eigenvalue sets are backward stable (|dlambda| <~ 1e-13, where -p ln p moves by about 3e-12),
-    so the two readings differ by far less than VN_MARGIN and decide every other candidate alike.
-    """
-    if metric is MixednessMetric.VON_NEUMANN_NORMALIZED:
-        off = abs(spectral_entropy(w)[0] / LN4 - anchor)
-        if abs(off - band) > VN_MARGIN:
-            return off <= band
-    return abs(_mixedness(metric, mat)[0] - anchor) <= band
-
-
 def hill_climb(
     start: DensityMatrix,
     metric: MixednessMetric,
@@ -338,9 +322,6 @@ def hill_climb(
     restarts after it, so the witness is the one that evaluating one proposal
     per step gives.  sqrt(rho) is the root its tangle was measured from
     (linalg.psd_root of the eigh that validated the start or the window).
-    An improving proposal's von Neumann band test reads its eigenvalues from
-    that same eigh, and runs the exact eigvalsh reading only within
-    VN_MARGIN of the band's edge (_in_band), so it decides as that reading.
     """
     if operator.index(steps) < 1:
         raise OutOfRange(f"need at least 1 step, got {steps}")
@@ -368,7 +349,7 @@ def hill_climb(
             roots = psd_root(vals, vecs)
             evaluated = hi
             for j, (k, cand_tangle) in enumerate(zip(live.tolist(), tangle_root(roots).tolist())):
-                if cand_tangle > current_tangle and _in_band(metric, mats[j:j + 1], vals[j:j + 1], anchor, band):
+                if cand_tangle > current_tangle and abs(_mixedness(metric, mats[j:j + 1])[0] - anchor) <= band:
                     current, current_tangle, root = mats[j], cand_tangle, roots[j]
                     evaluated = lo + k + 1
                     break

@@ -114,16 +114,16 @@ def linear_entropy(rho: DensityMatrix) -> float:
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """-Tr[rho ln rho] in nats, with 0 ln 0 = 0, from the eigvalsh that validates rho (validate_stack's)."""
-    return float(spectral_entropy(_checked(rho.mat[None], vectors=False)[1])[0])
+    return float(_spectral_entropy(_checked(rho.mat[None], vectors=False)[1])[0])
 
 
 def von_neumann_batch(mats: np.ndarray) -> np.ndarray:
     """von_neumann_entropy of each matrix of an (n, 4, 4) stack, from one stacked eigvalsh."""
-    return spectral_entropy(np.linalg.eigvalsh(mats))  # stacked and single eigvalsh agree bit for bit
+    return _spectral_entropy(np.linalg.eigvalsh(mats))  # stacked and single eigvalsh agree bit for bit
 
 
-def spectral_entropy(w: np.ndarray) -> np.ndarray:
-    """-sum p ln p over each row of an (n, 4) array of ascending eigenvalues (eigh's or eigvalsh's), 0 ln 0 = 0."""
+def _spectral_entropy(w: np.ndarray) -> np.ndarray:
+    """-sum p ln p over each row of an (n, 4) array of ascending eigvalsh eigenvalues, 0 ln 0 = 0."""
     entropies = []
     for evs in w.tolist():
         total = 0.0  # then -=, so a pure state gives 0.0, not -0.0
@@ -146,21 +146,31 @@ def negativity(rho: DensityMatrix) -> float:
     negativity is equivalent to positive concurrence.
     """
     validate_stack(rho.mat[None])  # make_density's checks, as every functional of one state applies
+    return _negativity(rho)
+
+
+def _negativity(rho: DensityMatrix) -> float:
+    """negativity of a state already validated."""
     evs = np.linalg.eigvalsh(partial_transpose(rho))
     return abs(float(evs[evs < 0.0].sum()))  # abs also normalizes -0.0
 
 
 def measure_report(rho: DensityMatrix) -> MeasureReport:
-    pur = purity(rho)
-    c = concurrence(rho)
+    """Every measure of rho, validated once (validate_eigh, whose eigh gives the concurrence's root).
+
+    Each field has the bits of its one-state functional: the entropy reads
+    an eigvalsh of the validated matrix, as von_neumann_entropy does.
+    """
+    mats, w, v = validate_eigh(rho.mat[None])
+    c = float(_concurrences(_spin_flip_values(psd_root(w, v)))[0])
     return MeasureReport(
-        purity=pur,
-        linear_entropy=linear_entropy_of_mat(rho.mat),
-        von_neumann=von_neumann_entropy(rho),
+        purity=float(purity_batch(mats)[0]),
+        linear_entropy=float(linear_entropy_batch(mats)[0]),
+        von_neumann=float(von_neumann_batch(mats)[0]),
         concurrence=c,
         tangle=c * c,
         eof=eof_from_tangle(c * c),
-        negativity=negativity(rho),
+        negativity=_negativity(rho),
     )
 
 
@@ -193,7 +203,7 @@ def tangle_bound(mats: np.ndarray, w: np.ndarray) -> np.ndarray:
     ``w`` holds the ascending eigenvalues of the validation's decomposition: validate_eigh's eigh or
     validate_stack's eigvalsh (certify_states reads the first for its first stack and the second for every
     later one).  Both read the lower triangle and are backward stable: with either, no tested state's tangle
-    read more than 5.9e-15 above its bound (tests/test_frontier.py, under four OpenBLAS kernels).
+    read more than 5.9e-15 above its bound (tests/test_frontier.py, under three OpenBLAS kernels).
     The smaller of two bounds, each exact on some states and both of degree 2 in rho, like the tangle, so a
     trace off 1 by up to TRACE_TOL is bounded too.  Both read the state that the kernel measures: the
     lower triangle, with each eigenvalue below 0 clamped to 0 (linalg.psd_root).

@@ -32,8 +32,7 @@ from memslab.frontier import (
 from memslab.filtering import best_filter
 from memslab.linalg import psd_root, psd_sqrt
 from memslab.measures import (linear_entropy, linear_entropy_of_mat, tangle, tangle_batch, tangle_bound,
-                              spectral_entropy, tangle_of_mat, tangle_root, von_neumann_batch,
-                              von_neumann_entropy)
+                              tangle_of_mat, tangle_root, von_neumann_batch, von_neumann_entropy)
 from memslab.sampling import (BLOCK, EnsembleSpec, GinibreRank, PerturbAbout, PureMixture,
                               _wishart, sample_states, splitmix64)
 from memslab.states import (DensityMatrix, OutOfRange, TraceNotOne, make_density, mems, validate_eigh,
@@ -376,8 +375,8 @@ BOUND_KINDS = {
     **{f"PureMixture({m})": PureMixture(m) for m in range(1, 7)},
     **{f"PerturbAbout(mems({g}))": PerturbAbout(mems(g), 0.05) for g in (0.1, 0.5, 0.9)},
 }
-# tangle_root - tangle_bound on these sets at 20k states, seeds 1 and 7, under the OpenBLAS SkylakeX, Haswell, Zen
-# and Prescott kernels: at most 5.2e-15 with the bound read from eigh's eigenvalues and 5.9e-15 from eigvalsh's
+# tangle_root - tangle_bound on these sets at 20k states, seeds 1 and 7, under the OpenBLAS SkylakeX, Haswell and
+# Katmai kernels: at most 5.2e-15 with the bound read from eigh's eigenvalues and 5.9e-15 from eigvalsh's
 # (pure states; 4.9e-15 on GinibreRank(1)), below 0 on rotated mems and X states and on clamped pure states, and
 # pure states at least -6.5e-15 (the bound is C^2 there).
 BOUND_SLACK = 1e-14
@@ -519,6 +518,17 @@ def _later_kept(stacks, i):
     return mats[tangle_bound(mats, np.linalg.eigvalsh(mats)) - envelope >= worst - frontier.MARGIN]
 
 
+def _first_keeps_more_than_its_threshold(stack):
+    """Whether the first stack's screen, read from validate_eigh's eigenvalues, keeps a row besides its threshold
+    state j (the row with the largest violation bound), whose exact violation sets the threshold."""
+    mats, w, _ = validate_eigh(stack)
+    envelope = np.array([envelope_tangle(LINEAR, _clipped(linear_entropy_of_mat(mat))) for mat in mats])
+    bounds = tangle_bound(mats, w) - envelope
+    j = int(np.argmax(bounds))
+    threshold = tangle_batch(mats[j:j + 1])[0] - envelope[j]
+    return int(np.count_nonzero(bounds >= threshold - frontier.MARGIN)) > 1
+
+
 def test_certify_decomposes_each_stack_once(linalg_calls, monkeypatch):
     decomposed = []
     counted_eigh = np.linalg.eigh
@@ -534,6 +544,9 @@ def test_certify_decomposes_each_stack_once(linalg_calls, monkeypatch):
         expected = [validate_stack(stacks[0])] + [_later_kept(stacks, i) for i in range(1, len(stacks))]
         assert [mats.tobytes() for mats in rows] == [mats.tobytes() for mats in expected if len(mats)]
         assert (calls["eigh"], calls["eigvalsh"]) == (len(rows), len(stacks) - 1)
+        # one SVD per decomposed stack: the first stack's is its threshold state's, and a first stack whose screen
+        # keeps more than that state measures its kept rows with one more
+        assert calls["svd"] == len(rows) + _first_keeps_more_than_its_threshold(stacks[0])
         assert 0 < report.screened and len(rows) < len(stacks)  # some later stack kept none
 
 
@@ -696,37 +709,8 @@ def test_hill_climb_takes_roots_from_each_windows_eigh(metric, linalg_calls, mon
     assert (linalg_calls["eigh"], linalg_calls["svd"]) == (len(stacks), len(stacks))
     # one stacked root per validated stack: the roots the tangles used are the support roots
     assert rooted == stacks
-    # the witness is not validated again; under VN only the start's mixedness is read from an eigvalsh, every
-    # proposal's from its window's eigh, as none lies within VN_MARGIN of the band's edge
-    assert linalg_calls["eigvalsh"] == (0 if metric is LINEAR else 1)
-
-
-@pytest.mark.parametrize("start", ["ginibre-rank1", "ginibre-rank2", "mems(0.6)"])  # ranks 1, 2 and 3
-def test_vn_readings_of_a_window_agree_far_inside_the_margin(start, monkeypatch):
-    windows = []
-    monkeypatch.setattr(frontier, "validate_eigh", lambda raw: windows.append(validate_eigh(raw)) or windows[-1])
-    hill_climb(CLIMB_STARTS[start], VN, 300, np.random.default_rng(1))
-    gaps = [np.abs(spectral_entropy(w) - von_neumann_batch(mats)) / LN4 for mats, w, _ in windows[1:]]
-    assert len(gaps) > 300 / WINDOW and max(gap.max() for gap in gaps) <= frontier.VN_MARGIN / 100
-
-
-@pytest.mark.parametrize("start, seed", [("ginibre-rank1", 37), ("ginibre-rank2", 5), ("mems(0.6)", 5)])
-def test_vn_band_near_a_proposal_takes_the_exact_reading(start, seed, monkeypatch):
-    state = CLIMB_STARTS[start]
-    moved = hill_climb(state, VN, 1, np.random.default_rng(seed), band=1.0)  # the one proposal raises the tangle
-    edge = abs(von_neumann_batch(moved.mat[None])[0] / LN4 - von_neumann_batch(state.mat[None])[0] / LN4)
-    assert edge > 2 * frontier.VN_MARGIN
-    exact = []
-    monkeypatch.setattr(frontier, "von_neumann_batch", lambda mats: exact.append(len(mats)) or von_neumann_batch(mats))
-    margin = frontier.VN_MARGIN
-    for band in (edge, np.nextafter(edge, 0.0), edge + margin / 2, edge - margin / 2, edge + 2 * margin,
-                 edge - 2 * margin):
-        exact.clear()
-        witness = hill_climb(state, VN, 1, np.random.default_rng(seed), band=band)
-        assert np.array_equal(witness.mat, sequential_hill_climb(state, VN, 1, np.random.default_rng(seed), band))
-        assert np.array_equal(witness.mat, moved.mat) == (band >= edge)
-        # the start's reading, then the proposal's exact reading only within VN_MARGIN of the band's edge
-        assert len(exact) == (2 if abs(band - edge) <= margin else 1)
+    if metric is LINEAR:
+        assert linalg_calls["eigvalsh"] == 0  # the witness is not validated again
 
 
 @pytest.mark.parametrize("build", [

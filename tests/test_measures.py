@@ -395,6 +395,17 @@ def test_von_neumann_entropy_reads_the_validating_eigvalsh(linalg_calls):
     assert linalg_calls == {"eigh": 0, "eigvalsh": 1, "svd": 0}
 
 
+def test_measure_report_validates_its_state_once(linalg_calls):
+    report = measure_report(MEMS_08)
+    # one eigh validates the state and gives the concurrence's root; one eigvalsh gives the entropy, one the
+    # partial transpose's spectrum
+    assert linalg_calls == {"eigh": 1, "eigvalsh": 2, "svd": 1}
+    alone = {"purity": purity, "linear_entropy": linear_entropy, "von_neumann": von_neumann_entropy,
+             "concurrence": concurrence, "negativity": negativity}
+    for field, functional in alone.items():  # each field has its one-state functional's bits
+        assert getattr(report, field).hex() == functional(MEMS_08).hex()
+
+
 def reference_von_neumann(mat):
     """-Tr[rho ln rho] of one matrix: its own eigvalsh, then the ascending math.log loop."""
     total = 0.0
